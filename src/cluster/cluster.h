@@ -115,11 +115,12 @@ class ClusterObserver {
     (void)replica; (void)rtt; (void)cross_dc;
   }
 
-  // Client-side measurement hooks (monitor/monitor.h implements them). In
-  // unsharded runs the workload layer may call the monitor directly; sharded
-  // runs route them through Cluster::record_* so they join the per-shard
-  // monitor log and replay here — interleaved with the replica-side hooks
-  // above in exact (time, seq) order — at window barriers.
+  // Client-side measurement hooks (monitor/monitor.h implements them). The
+  // workload layer reaches them only through Cluster::record_*, serial or
+  // sharded: unsharded calls forward here at once; sharded ones join the
+  // per-shard monitor log and replay here — interleaved with the
+  // replica-side hooks above in exact (time, seq) order — at window
+  // barriers.
   virtual void record_read_issued(SimTime now, Key key) {
     (void)now; (void)key;
   }
@@ -409,9 +410,11 @@ class Cluster {
   // ---- client-side measurement records -----------------------------------
   // Forwarded to the observer's record_* hooks: immediately when unsharded,
   // via the per-shard monitor log (barrier-merged replay) when sharded. The
-  // workload layer calls these instead of the monitor directly whenever
-  // shard_count > 1.
-  void record_read_issued(Key key);
+  // workload layer's only route to the monitor. Each hook reports now(),
+  // except record_read_issued, which reports `at` — the issue time the
+  // client measures from (a paced client's intended arrival). Sharded, the
+  // executing event's (now, seq) still orders the replay.
+  void record_read_issued(SimTime at, Key key);
   void record_write_issued(Key key, std::uint32_t value_size);
   void record_read_complete(SimDuration latency);
   void record_write_complete(SimDuration latency);
@@ -620,7 +623,9 @@ class Cluster {
     SimTime at = 0;
     std::uint64_t seq = 0;
     Key key = 0;              ///< issued / propagated
-    SimTime write_start = 0;  ///< kWritePropagated
+    /// kWritePropagated: the write's start; kReadIssued: the reported issue
+    /// time (`at` orders the replay, this is what the observer sees).
+    SimTime start = 0;
     SimDuration dur = 0;      ///< completion latency / replica rtt
     std::uint32_t size = 0;   ///< written value size
     net::NodeId replica = 0;  ///< kReplicaReadRtt

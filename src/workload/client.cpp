@@ -48,7 +48,6 @@ void Client::start() {
                            &Client::dispatch_event);
   // The whole closed loop (issue event, request callback, pacing closure)
   // stays on the ctor-assigned shard (a key-range shard of the home DC).
-  use_monitor_ = sim.shard_count() <= 1;
   const auto stagger = static_cast<SimDuration>(rng_.exponential(500.0));
   sim.schedule_event(stagger, issue_event(this, shard_));
 }
@@ -93,11 +92,7 @@ void Client::issue_next() {
       break;
     case OpType::kUpdate:
     case OpType::kInsert:
-      if (use_monitor_) {
-        env_->monitor().record_write_issued(last_issue_, op.key, op.value_size);
-      } else {
-        env_->cluster().record_write_issued(op.key, op.value_size);
-      }
+      env_->cluster().record_write_issued(op.key, op.value_size);
       do_write(op, start, 0);
       break;
     case OpType::kReadModifyWrite:
@@ -122,15 +117,10 @@ net::DcId Client::route_dc() {
 void Client::do_read(const Op& op, bool then_write, SimTime first_start,
                      int shed_attempts) {
   // Monitor issue/complete hooks fire once per logical op, not per shed
-  // re-issue, so the policy layer's rates count client intent. Sharded runs
-  // route through the cluster's per-shard monitor logs (stamped with the
-  // executing event's time, so a paced op's intent registers at issue).
+  // re-issue, so the policy layer's rates count client intent. The issue
+  // hook reports first_start: a paced op registers at its intended arrival.
   if (shed_attempts == 0) {
-    if (use_monitor_) {
-      env_->monitor().record_read_issued(first_start, op.key);
-    } else {
-      env_->cluster().record_read_issued(op.key);
-    }
+    env_->cluster().record_read_issued(first_start, op.key);
   }
   const cluster::ReplicaRequirement req = env_->policy().read_requirement();
   env_->cluster().client_read(
@@ -151,20 +141,10 @@ void Client::do_read(const Op& op, bool then_write, SimTime first_start,
           return;
         }
         const SimDuration latency = env_->simulation().now() - first_start;
-        if (use_monitor_) {
-          env_->monitor().record_read_complete(env_->simulation().now(),
-                                               latency);
-        } else {
-          env_->cluster().record_read_complete(latency);
-        }
+        env_->cluster().record_read_complete(latency);
         env_->on_read_complete(r, latency, req.count);
         if (then_write) {
-          if (use_monitor_) {
-            env_->monitor().record_write_issued(env_->simulation().now(),
-                                                op.key, op.value_size);
-          } else {
-            env_->cluster().record_write_issued(op.key, op.value_size);
-          }
+          env_->cluster().record_write_issued(op.key, op.value_size);
           do_write(op, env_->simulation().now(), 0);
         } else {
           schedule_next();
@@ -190,12 +170,7 @@ void Client::do_write(const Op& op, SimTime first_start, int shed_attempts) {
           return;
         }
         const SimDuration latency = env_->simulation().now() - first_start;
-        if (use_monitor_) {
-          env_->monitor().record_write_complete(env_->simulation().now(),
-                                                latency);
-        } else {
-          env_->cluster().record_write_complete(latency);
-        }
+        env_->cluster().record_write_complete(latency);
         env_->on_write_complete(w, latency);
         schedule_next();
       },

@@ -35,6 +35,9 @@ class ClientEnv {
   virtual bool next_op(Op& op) = 0;
   virtual const policy::ConsistencyPolicy& policy() const = 0;
   virtual cluster::Cluster& cluster() = 0;
+  /// The experiment's monitor, attached as the cluster's observer. Clients
+  /// and sources never call it: their measurement hooks go through
+  /// Cluster::record_*, the one route for serial and sharded runs alike.
   virtual monitor::Monitor& monitor() = 0;
   virtual sim::Simulation& simulation() = 0;
   /// Completion hooks (latency measured client-side).
@@ -96,10 +99,6 @@ class Client {
   /// Event shard the client's issue loop runs on (ctor-assigned by the
   /// runner: one key-range shard of the home DC; 0 unsharded).
   std::uint8_t shard_ = 0;
-  /// Direct monitor calls happen only unsharded; under shard_count > 1 the
-  /// hooks route through Cluster's per-shard monitor logs, replayed in
-  /// (time, seq) order at window barriers.
-  bool use_monitor_ = true;
   SimTime last_issue_ = 0;
   /// Rate-paced clients: the op's *intended* issue time on the arrival grid.
   /// The grid advances by the drawn gaps alone; when completions lag the

@@ -36,7 +36,8 @@ OpenLoopSource::OpenLoopSource(ClientEnv& env, net::DcId dc,
     : env_(&env), dc_(dc), spec_(&spec), rate_(rate_per_s),
       insert_lane_(insert_lane), insert_stride_(insert_stride),
       rng_(std::move(rng)), keys_(std::move(keys)), users_(users),
-      shard_(shard), queue_(spec.open_loop.queue_capacity_per_dc) {
+      shard_(shard), owner_(env.cluster(), dc, shard),
+      queue_(spec.open_loop.queue_capacity_per_dc) {
   HARMONY_CHECK(rate_ > 0);
   HARMONY_CHECK(keys_ != nullptr);
   props_[0] = spec.read_proportion;
@@ -50,12 +51,8 @@ void OpenLoopSource::dispatch_arrival(const sim::TypedEvent& ev) {
 }
 
 void OpenLoopSource::start() {
-  sim::Simulation& sim = env_->simulation();
-  sim.set_event_dispatcher(sim::EventDomain::kWorkload,
-                           &Client::dispatch_event);
-  key_filter_ = sim.shard_count() > 1 &&
-                env_->cluster().shard_map().shards_in_dc(dc_) > 1;
-  use_monitor_ = sim.shard_count() <= 1;
+  env_->simulation().set_event_dispatcher(sim::EventDomain::kWorkload,
+                                          &Client::dispatch_event);
   // The first arrival lands one gap after t=0: sources de-synchronize
   // through their private RNG streams, no explicit stagger needed.
   schedule_next_arrival(0);
@@ -135,45 +132,25 @@ void OpenLoopSource::draw_op(Op& op) {
   op.type = static_cast<OpType>(rng_.weighted_index(props_, 4));
   op.value_size = spec_->value_size;
   if (op.type == OpType::kInsert) {
-    // Interleaved per-source insert lane (same scheme as the sharded
-    // closed-loop stream): key identity is independent of execution order.
-    // Under key-range sharding the lane contains keys other shards of the
-    // DC own; skip those (lanes are disjoint across sources, so a skipped
-    // key is simply never inserted — uniqueness holds). Ownership is ~1/S
-    // per lane step, so the scan is geometric with mean S.
-    for (int probe = 0;; ++probe) {
-      HARMONY_CHECK_MSG(probe < 4096,
-                        "insert-lane skip-scan found no owned key");
-      op.key = spec_->record_count + insert_lane_ +
-               next_insert_seq_ * insert_stride_;
-      ++next_insert_seq_;
-      if (!key_filter_ ||
-          env_->cluster().home_shard(dc_, op.key) == shard_) {
-        break;
-      }
-    }
+    // Interleaved per-source insert lane (same scheme as the runner's
+    // closed-loop lanes): key identity is independent of execution order.
+    op.key = owner_.next_insert(spec_->record_count + insert_lane_,
+                                insert_stride_, next_insert_seq_);
     keys_->grow(op.key + 1);
     return;
   }
   // Attribute the arrival to a user (heavy-tailed activity): hot users hit
   // their own profile row with probability user_affinity, otherwise the
   // workload's request distribution supplies the key. Key-range sharded
-  // sources rejection-sample until the draw lands in their own range (the
-  // whole draw repeats so the accept stream stays i.i.d.); at S_d == 1 the
-  // filter is off and RNG consumption is identical to the serial stream.
-  int tries = 0;
-  do {
-    HARMONY_CHECK_MSG(++tries < 65536,
-                      "key ownership rejection sampling did not converge "
-                      "(degenerate key distribution vs shard ranges)");
+  // sources redraw the whole (user, affinity, key) tuple until the key lands
+  // in their own range.
+  op.key = owner_.draw([this] {
     const std::uint64_t user = users_.next(rng_);
     if (rng_.chance(spec_->open_loop.user_affinity)) {
-      op.key = mix64(user + kProfileSalt) % spec_->record_count;
-    } else {
-      op.key = keys_->next(rng_);
+      return mix64(user + kProfileSalt) % spec_->record_count;
     }
-  } while (key_filter_ &&
-           env_->cluster().home_shard(dc_, op.key) != shard_);
+    return keys_->next(rng_);
+  });
 }
 
 void OpenLoopSource::on_arrival() {
@@ -208,11 +185,7 @@ void OpenLoopSource::issue(const Op& op, SimTime intended) {
       break;
     case OpType::kUpdate:
     case OpType::kInsert:
-      if (use_monitor_) {
-        env_->monitor().record_write_issued(now, op.key, op.value_size);
-      } else {
-        env_->cluster().record_write_issued(op.key, op.value_size);
-      }
+      env_->cluster().record_write_issued(op.key, op.value_size);
       do_write(op, intended);
       break;
     case OpType::kReadModifyWrite:
@@ -222,11 +195,7 @@ void OpenLoopSource::issue(const Op& op, SimTime intended) {
 }
 
 void OpenLoopSource::do_read(const Op& op, SimTime intended, bool then_write) {
-  if (use_monitor_) {
-    env_->monitor().record_read_issued(env_->simulation().now(), op.key);
-  } else {
-    env_->cluster().record_read_issued(op.key);
-  }
+  env_->cluster().record_read_issued(env_->simulation().now(), op.key);
   const cluster::ReplicaRequirement req = env_->policy().read_requirement();
   env_->cluster().client_read(
       dc_, op.key, req,
@@ -237,20 +206,12 @@ void OpenLoopSource::do_read(const Op& op, SimTime intended, bool then_write) {
         // retry; re-offered load would re-hide the overload.
         const SimTime now = env_->simulation().now();
         const SimDuration latency = now - intended;
-        if (use_monitor_) {
-          env_->monitor().record_read_complete(now, latency);
-        } else {
-          env_->cluster().record_read_complete(latency);
-        }
+        env_->cluster().record_read_complete(latency);
         env_->on_read_complete(r, latency, req.count);
         if (then_write) {
           // RMW: the write half keeps the op's in-flight slot and its
           // intended time, so RMW latency stays end-to-end.
-          if (use_monitor_) {
-            env_->monitor().record_write_issued(now, op.key, op.value_size);
-          } else {
-            env_->cluster().record_write_issued(op.key, op.value_size);
-          }
+          env_->cluster().record_write_issued(op.key, op.value_size);
           do_write(op, intended);
         } else {
           finish_op(r.ok, r.shed, intended);
@@ -265,11 +226,7 @@ void OpenLoopSource::do_write(const Op& op, SimTime intended) {
       [this, intended](const cluster::WriteResult& w) {
         const SimTime now = env_->simulation().now();
         const SimDuration latency = now - intended;
-        if (use_monitor_) {
-          env_->monitor().record_write_complete(now, latency);
-        } else {
-          env_->cluster().record_write_complete(latency);
-        }
+        env_->cluster().record_write_complete(latency);
         env_->on_write_complete(w, latency);
         finish_op(w.ok, w.shed, intended);
       });

@@ -34,6 +34,7 @@
 
 #include "common/histogram.h"
 #include "workload/client.h"
+#include "workload/key_owner.h"
 
 namespace harmony::workload {
 
@@ -136,11 +137,8 @@ class OpenLoopSource {
   ScrambledZipfianKeys users_;
   double props_[4] = {0, 0, 0, 0};  ///< op-type weights, OpType order
   std::uint8_t shard_ = 0;
-  /// True when the home DC splits into several key-range shards: draw_op()
-  /// then filters keys by Cluster::home_shard ownership. Off at S_d == 1,
-  /// where every draw is owned by construction (zero extra RNG pulls).
-  bool key_filter_ = false;
-  bool use_monitor_ = true;
+  /// Keeps draw_op() to keys shard_ owns (key-range sharding).
+  KeyOwner owner_;
   bool measuring_ = false;
   bool gen_done_ = false;
   bool drain_reported_ = false;

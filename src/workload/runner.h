@@ -60,9 +60,8 @@ struct RunConfig {
   ///   * per-read ReadResult::stale stays false (the deferred oracle judges
   ///     at barriers); staleness counters come from the oracle's whole-run
   ///     aggregates;
-  ///   * the legacy `faults` closure list is rejected (use `fault_schedule`,
-  ///     whose instants are fenced) and client DC re-routing is rejected
-  ///     (coordinators must stay in the request's shard).
+  ///   * client DC re-routing is rejected (coordinators must stay in the
+  ///     request's shard).
   /// 0 (default) = classic serial unsharded execution.
   unsigned num_shard_threads = 0;
 
@@ -77,7 +76,9 @@ struct RunConfig {
   unsigned shards_per_dc = 1;
 
   /// Scheduled failure injection: kill/revive nodes mid-run (availability
-  /// experiments; revival replays hints).
+  /// experiments; revival replays hints). Each entry is lowered onto the
+  /// typed fault lane as a kKillNode / kReviveNode FaultSpec, so it behaves
+  /// exactly like the equivalent `fault_schedule` entry.
   struct FaultEvent {
     SimTime at = 0;
     net::NodeId node = 0;
@@ -88,7 +89,7 @@ struct RunConfig {
   /// Full fault schedule (kill/revive, DC blackout/restore, link degradation
   /// windows), driven off the typed event lane via Cluster::schedule_fault —
   /// every scenario replays bit-identically from the seed. Subsumes `faults`,
-  /// which is kept for the node-kill-only legacy call sites.
+  /// which is kept for the node-kill-only call sites.
   std::vector<cluster::FaultSpec> fault_schedule;
 };
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "cluster/versioned_value.h"
 #include "common/check.h"
 
@@ -16,36 +19,48 @@ TEST(Consistency, QuorumOf) {
   EXPECT_EQ(quorum_of(5), 3);
 }
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// must have no padding: padding bytes are indeterminate and made the case
+// names differ from build to build. Every field is therefore 4 bytes wide;
+// the byte layout of the determinate fields is unchanged.
 struct LevelCase {
-  Level level;
+  std::int32_t level;  // a Level, widened
   int rf;
   int local_rf;
   int expected_count;
-  bool local_only;
+  std::int32_t local_only;  // a bool, widened
 };
+static_assert(std::has_unique_object_representations_v<LevelCase>);
+
+constexpr LevelCase level_case(Level level, int rf, int local_rf,
+                               int expected_count, bool local_only) {
+  return {static_cast<std::int32_t>(level), rf, local_rf, expected_count,
+          local_only ? 1 : 0};
+}
 
 class ResolveLevels : public ::testing::TestWithParam<LevelCase> {};
 
 TEST_P(ResolveLevels, CountsMatchCassandraSemantics) {
   const auto& c = GetParam();
-  const auto req = resolve(c.level, c.rf, c.local_rf);
-  EXPECT_EQ(req.count, c.expected_count) << to_string(c.level);
-  EXPECT_EQ(req.local_only, c.local_only) << to_string(c.level);
+  const auto level = static_cast<Level>(c.level);
+  const auto req = resolve(level, c.rf, c.local_rf);
+  EXPECT_EQ(req.count, c.expected_count) << to_string(level);
+  EXPECT_EQ(req.local_only, c.local_only != 0) << to_string(level);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Table, ResolveLevels,
-    ::testing::Values(LevelCase{Level::kOne, 5, 3, 1, false},
-                      LevelCase{Level::kTwo, 5, 3, 2, false},
-                      LevelCase{Level::kThree, 5, 3, 3, false},
-                      LevelCase{Level::kQuorum, 5, 3, 3, false},
-                      LevelCase{Level::kQuorum, 3, 2, 2, false},
-                      LevelCase{Level::kAll, 5, 3, 5, false},
-                      LevelCase{Level::kLocalOne, 5, 3, 1, true},
-                      LevelCase{Level::kLocalQuorum, 5, 3, 2, true},
-                      LevelCase{Level::kLocalQuorum, 4, 2, 2, true},
-                      LevelCase{Level::kTwo, 1, 1, 1, false},
-                      LevelCase{Level::kThree, 2, 1, 2, false}));
+    ::testing::Values(level_case(Level::kOne, 5, 3, 1, false),
+                      level_case(Level::kTwo, 5, 3, 2, false),
+                      level_case(Level::kThree, 5, 3, 3, false),
+                      level_case(Level::kQuorum, 5, 3, 3, false),
+                      level_case(Level::kQuorum, 3, 2, 2, false),
+                      level_case(Level::kAll, 5, 3, 5, false),
+                      level_case(Level::kLocalOne, 5, 3, 1, true),
+                      level_case(Level::kLocalQuorum, 5, 3, 2, true),
+                      level_case(Level::kLocalQuorum, 4, 2, 2, true),
+                      level_case(Level::kTwo, 1, 1, 1, false),
+                      level_case(Level::kThree, 2, 1, 2, false)));
 
 TEST(Consistency, EachQuorumFlag) {
   const auto req = resolve(Level::kEachQuorum, 5, 3);

@@ -307,9 +307,10 @@ TEST(CoordinatedOmission, NonSaturatingPaceStaysNearServiceTime) {
 
 // ---- allocation discipline --------------------------------------------------
 
-/// Minimal ClientEnv: plain counters, a real (unattached) monitor, a static
-/// policy — exactly what the engine touches per operation, nothing that
-/// would allocate on the runner's behalf.
+/// Minimal ClientEnv: plain counters, a real monitor attached as the
+/// cluster's observer (so the engine's measurement hooks reach it through
+/// Cluster::record_*), a static policy — exactly what the engine touches per
+/// operation, nothing that would allocate on the runner's behalf.
 class OpenLoopAllocEnv final : public ClientEnv {
  public:
   OpenLoopAllocEnv()
@@ -330,6 +331,7 @@ class OpenLoopAllocEnv final : public ClientEnv {
     spec_.open_loop.user_count = 5000;
     spec_.open_loop.max_in_flight_per_dc = 8;
     spec_.open_loop.queue_capacity_per_dc = 32;
+    monitor_.attach(cluster_, /*client_home_dc=*/0);
     cluster_.preload_range(spec_.record_count, spec_.value_size);
   }
 

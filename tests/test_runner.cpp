@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "common/check.h"
 #include "core/harmony.h"
 #include "core/static_policy.h"
@@ -211,13 +214,163 @@ TEST(Runner, ShardedSingleDcMatchesUnshardedExactly) {
 }
 
 TEST(Runner, ShardedRunRejectsCrossShardSingletons) {
-  auto with_faults = sharded_run(2, 1000);
-  with_faults.faults.push_back({100 * kMillisecond, 0, true});
-  EXPECT_THROW(run_experiment(with_faults), CheckError);
+  auto reroute = sharded_run(2, 1000);
+  reroute.workload.reroute_on_dc_outage = true;
+  EXPECT_THROW(run_experiment(reroute), CheckError);
 
   auto no_floor = sharded_run(2, 1000);
   no_floor.cluster.latency.cross_dc.floor = 0;
   EXPECT_THROW(run_experiment(no_floor), CheckError);
+}
+
+TEST(Runner, ShardedLegacyFaultsMatchMergedSerial) {
+  // The legacy kill/revive list rides the typed fault lane, so its instants
+  // are fences and a sharded run reproduces the merged-serial reference.
+  auto make = [](unsigned threads) {
+    auto cfg = sharded_run(threads, 5000);
+    cfg.faults.push_back({300 * kMillisecond, 0, true});
+    cfg.faults.push_back({350 * kMillisecond, 4, true});
+    cfg.faults.push_back({800 * kMillisecond, 0, false});
+    return cfg;
+  };
+  const auto serial = run_experiment(make(1));
+  const auto two = run_experiment(make(2));
+  expect_same_run(serial, two);
+  // The faults really fired: the fault-free run schedules differently.
+  EXPECT_NE(serial.sim_events, run_experiment(sharded_run(1, 5000)).sim_events);
+}
+
+TEST(Runner, ShardedPacedClosedLoopIsThreadCountInvariant) {
+  // Paced clients report their intended arrival to the monitor, which feeds
+  // the fenced Harmony ticks: decisions must not depend on thread count.
+  auto make = [](unsigned threads) {
+    auto cfg = sharded_run(threads);
+    cfg.workload.target_rate_per_client = 400.0;
+    cfg.policy = core::harmony_policy(0.2);
+    cfg.policy_tick = 100 * kMillisecond;
+    return cfg;
+  };
+  const auto serial = run_experiment(make(1));
+  const auto two = run_experiment(make(2));
+  expect_same_run(serial, two);
+  EXPECT_EQ(serial.read_level_usage, two.read_level_usage);
+  EXPECT_EQ(serial.policy_switches, two.policy_switches);
+  EXPECT_GT(serial.final_state.read_rate, 0.0);
+  EXPECT_DOUBLE_EQ(serial.final_state.read_rate, two.final_state.read_rate);
+  EXPECT_DOUBLE_EQ(serial.final_state.write_rate, two.final_state.write_rate);
+}
+
+/// The client-side read hooks the cluster forwards to its observer.
+class ReadHookLog final : public cluster::ClusterObserver {
+ public:
+  void record_read_issued(SimTime now, cluster::Key) override {
+    issued.push_back(now);
+  }
+  void record_read_complete(SimTime now, SimDuration latency) override {
+    started.push_back(now - latency);
+    completed.push_back(now);
+  }
+  std::vector<SimTime> issued, started, completed;
+};
+
+/// One overdriven rate-paced client in DC 0 of a two-DC cluster, unsharded
+/// (threads == 0) or split into per-DC event shards.
+class PacedClientProbe final : public ClientEnv {
+ public:
+  explicit PacedClientProbe(unsigned threads)
+      : cluster_(sharded(sim_, threads), cluster_config()),
+        monitor_(monitor::MonitorConfig{}) {
+    cluster_.set_observer(&log);
+    policy::PolicyInit init;
+    init.rf = 3;
+    init.local_rf = cluster_.config().local_rf(0);
+    init.rng = sim_.fork_rng(0x90110C);
+    policy_ = core::static_level(cluster::Level::kOne)(init);
+    cluster_.preload_range(kKeys, 64);
+  }
+
+  void run(double rate_per_s) {
+    Client client(*this, /*home_dc=*/0, rate_per_s, sim_.fork_rng(1));
+    sim_.set_setup_shard(0);
+    client.start();
+    sim_.run();
+  }
+
+  bool next_op(Op& op) override {
+    if (ops_ == 300) return false;
+    op = Op{OpType::kRead, ops_++ % kKeys, 64};
+    return true;
+  }
+  const policy::ConsistencyPolicy& policy() const override { return *policy_; }
+  cluster::Cluster& cluster() override { return cluster_; }
+  monitor::Monitor& monitor() override { return monitor_; }
+  sim::Simulation& simulation() override { return sim_; }
+  void on_read_complete(const cluster::ReadResult&, SimDuration,
+                        int) override {}
+  void on_write_complete(const cluster::WriteResult&, SimDuration) override {}
+  void on_client_finished() override {}
+
+  ReadHookLog log;
+
+ private:
+  static constexpr std::uint64_t kKeys = 100;
+
+  static sim::Simulation& sharded(sim::Simulation& sim, unsigned threads) {
+    if (threads > 0) sim.configure_shards(2, kMillisecond, threads);
+    return sim;
+  }
+  static cluster::ClusterConfig cluster_config() {
+    cluster::ClusterConfig c;
+    c.node_count = 8;
+    c.dc_count = 2;
+    c.rf = 3;
+    c.latency = net::TieredLatencyModel::ec2_two_az();
+    c.latency.cross_dc.floor = kMillisecond;
+    return c;
+  }
+
+  sim::Simulation sim_{17};
+  cluster::Cluster cluster_;
+  monitor::Monitor monitor_;
+  std::unique_ptr<policy::ConsistencyPolicy> policy_;
+  std::uint64_t ops_ = 0;
+};
+
+TEST(Client, PacedReadIssueReportsIntendedArrival) {
+  // The monitor's read-issue hook carries the time latency is measured from
+  // — the op's intended arrival — over the one route (Cluster::record_*)
+  // whether the cluster forwards at once or via the barrier-merged log.
+  for (const unsigned threads : {0u, 2u}) {
+    SCOPED_TRACE(threads);
+    PacedClientProbe probe(threads);
+    probe.run(/*rate_per_s=*/20'000);
+    const ReadHookLog& log = probe.log;
+    ASSERT_EQ(log.issued.size(), 300u);
+    ASSERT_EQ(log.started.size(), 300u);
+    EXPECT_EQ(log.issued, log.started);
+    // A closed loop issues only after its previous op completed, so an
+    // issue stamp earlier than that completion is an intended arrival the
+    // client was late for.
+    std::size_t late = 0;
+    for (std::size_t i = 1; i < log.issued.size(); ++i) {
+      if (log.issued[i] < log.completed[i - 1]) ++late;
+    }
+    EXPECT_GT(late, 100u);
+  }
+}
+
+TEST(Runner, RejectsOpenLoopWarmupPastGeneration) {
+  auto cfg = small_run();
+  cfg.workload.open_loop.enabled = true;
+  cfg.workload.open_loop.duration = kSecond;
+  cfg.warmup = 2 * kSecond;
+  EXPECT_THROW(run_experiment(cfg), CheckError);
+}
+
+TEST(Runner, RejectsClientDcOutOfRange) {
+  auto cfg = small_run();
+  cfg.workload.client_dc = 2;  // two DCs: ids 0 and 1
+  EXPECT_THROW(run_experiment(cfg), CheckError);
 }
 
 TEST(Runner, ShardedTraceCaptureMatchesSerial) {
