@@ -70,9 +70,9 @@ Cluster::Cluster(sim::Simulation& sim, ClusterConfig cfg)
   sim.set_event_dispatcher(sim::EventDomain::kCluster, &Cluster::dispatch_event);
   for (const int w : cfg_.rf_per_dc()) rf_per_dc_.push_back(w);
 
-  // Per-shard request-path state. One instance when the simulation is
-  // unsharded (or sharded with a single shard — the merged-serial anchor);
-  // one per event shard otherwise (a shard per DC, or S_d key-range shards
+  // Per-shard request-path state. One instance when the simulation has a
+  // single shard (the default set, or a configured one-shard set); one per
+  // event shard otherwise (a shard per DC, or S_d key-range shards
   // per DC when the simulation carries a shard plan). Shard RNGs fork before
   // the node RNGs below, in shard order, so a single-shard cluster replays
   // the historical master-RNG draw sequence byte for byte.
@@ -1246,51 +1246,63 @@ void Cluster::barrier_hook(void* ctx, SimTime safe_time) {
   ++c->barrier_epoch_;
 }
 
-void Cluster::apply_oracle_logs(SimTime safe_time) {
-  // K-way merge by (at, seq); every op dated strictly before the barrier's
-  // safe time is final on its shard (no event before safe_time remains).
+template <typename Op, typename Apply>
+void Cluster::merge_shard_logs(std::vector<Op> ShardState::*log,
+                               std::size_t ShardState::*pos,
+                               SimTime safe_time, Apply&& apply) {
+  // Every op dated strictly before the barrier's safe time is final on its
+  // shard (no event before safe_time remains).
   for (;;) {
-    int best = -1;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const ShardState& st = *shards_[s];
-      if (st.oracle_pos >= st.oracle_log.size()) continue;
-      const OracleOp& op = st.oracle_log[st.oracle_pos];
+    ShardState* best = nullptr;
+    const Op* best_op = nullptr;
+    for (const auto& sp : shards_) {
+      ShardState& st = *sp;
+      if (st.*pos >= (st.*log).size()) continue;
+      const Op& op = (st.*log)[st.*pos];
       if (op.at >= safe_time) continue;  // logs are time-sorted: shard done
-      if (best >= 0) {
-        // Strictly-less keeps the lowest shard on (at, seq) ties (only
-        // setup-time ops can tie across shards; they carry seq 0).
-        const ShardState& bs = *shards_[best];
-        const OracleOp& bop = bs.oracle_log[bs.oracle_pos];
-        const bool less = op.at < bop.at || (op.at == bop.at && op.seq < bop.seq);
-        if (!less) continue;
+      // Strictly-less keeps the lowest shard on (at, seq) ties (only
+      // setup-time ops can tie across shards; they carry seq 0).
+      if (best_op != nullptr &&
+          !(op.at < best_op->at ||
+            (op.at == best_op->at && op.seq < best_op->seq))) {
+        continue;
       }
-      best = static_cast<int>(s);
+      best = &st;
+      best_op = &op;
     }
-    if (best < 0) break;
-    ShardState& st = *shards_[best];
-    const OracleOp op = st.oracle_log[st.oracle_pos++];
-    switch (op.kind) {
-      case OracleOp::Kind::kCommit:
-        oracle_.record_commit(op.key, op.version, op.at);
-        break;
-      case OracleOp::Kind::kBeginRead:
-        oracle_.begin_read(op.read_start);
-        break;
-      case OracleOp::Kind::kEndRead:
-        oracle_.end_read(op.read_start);
-        break;
-      case OracleOp::Kind::kJudgeEnd:
-        oracle_.judge(op.key, op.version, op.read_start);
-        oracle_.end_read(op.read_start);
-        break;
-    }
+    if (best == nullptr) break;
+    ++(best->*pos);
+    apply(*best_op);
   }
   for (const auto& sp : shards_) {
-    if (sp->oracle_pos == sp->oracle_log.size() && sp->oracle_pos > 0) {
-      sp->oracle_log.clear();
-      sp->oracle_pos = 0;
+    ShardState& st = *sp;
+    if (st.*pos == (st.*log).size() && st.*pos > 0) {
+      (st.*log).clear();
+      st.*pos = 0;
     }
   }
+}
+
+void Cluster::apply_oracle_logs(SimTime safe_time) {
+  merge_shard_logs(
+      &ShardState::oracle_log, &ShardState::oracle_pos, safe_time,
+      [this](const OracleOp& op) {
+        switch (op.kind) {
+          case OracleOp::Kind::kCommit:
+            oracle_.record_commit(op.key, op.version, op.at);
+            break;
+          case OracleOp::Kind::kBeginRead:
+            oracle_.begin_read(op.read_start);
+            break;
+          case OracleOp::Kind::kEndRead:
+            oracle_.end_read(op.read_start);
+            break;
+          case OracleOp::Kind::kJudgeEnd:
+            oracle_.judge(op.key, op.version, op.read_start);
+            oracle_.end_read(op.read_start);
+            break;
+        }
+      });
 }
 
 // ---------------------------------------------------------- deferred observer
@@ -1382,53 +1394,30 @@ void Cluster::observer_replica_read_rtt(net::NodeId replica, SimDuration rtt,
 
 void Cluster::apply_monitor_logs(SimTime safe_time) {
   if (observer_ == nullptr) return;
-  // K-way merge by (at, seq), identical to apply_oracle_logs: every op dated
-  // strictly before the barrier's safe time is final on its shard.
-  for (;;) {
-    int best = -1;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const ShardState& st = *shards_[s];
-      if (st.monitor_pos >= st.monitor_log.size()) continue;
-      const MonitorOp& op = st.monitor_log[st.monitor_pos];
-      if (op.at >= safe_time) continue;  // logs are time-sorted: shard done
-      if (best >= 0) {
-        const ShardState& bs = *shards_[best];
-        const MonitorOp& bop = bs.monitor_log[bs.monitor_pos];
-        const bool less = op.at < bop.at || (op.at == bop.at && op.seq < bop.seq);
-        if (!less) continue;
-      }
-      best = static_cast<int>(s);
-    }
-    if (best < 0) break;
-    ShardState& st = *shards_[best];
-    const MonitorOp& op = st.monitor_log[st.monitor_pos++];
-    switch (op.kind) {
-      case MonitorOp::Kind::kReadIssued:
-        observer_->record_read_issued(op.start, op.key);
-        break;
-      case MonitorOp::Kind::kWriteIssued:
-        observer_->record_write_issued(op.at, op.key, op.size);
-        break;
-      case MonitorOp::Kind::kReadComplete:
-        observer_->record_read_complete(op.at, op.dur);
-        break;
-      case MonitorOp::Kind::kWriteComplete:
-        observer_->record_write_complete(op.at, op.dur);
-        break;
-      case MonitorOp::Kind::kWritePropagated:
-        observer_->on_write_propagated(op.key, op.start, op.delays);
-        break;
-      case MonitorOp::Kind::kReplicaReadRtt:
-        observer_->on_replica_read_rtt(op.replica, op.dur, op.cross_dc);
-        break;
-    }
-  }
-  for (const auto& sp : shards_) {
-    if (sp->monitor_pos == sp->monitor_log.size() && sp->monitor_pos > 0) {
-      sp->monitor_log.clear();
-      sp->monitor_pos = 0;
-    }
-  }
+  merge_shard_logs(
+      &ShardState::monitor_log, &ShardState::monitor_pos, safe_time,
+      [this](const MonitorOp& op) {
+        switch (op.kind) {
+          case MonitorOp::Kind::kReadIssued:
+            observer_->record_read_issued(op.start, op.key);
+            break;
+          case MonitorOp::Kind::kWriteIssued:
+            observer_->record_write_issued(op.at, op.key, op.size);
+            break;
+          case MonitorOp::Kind::kReadComplete:
+            observer_->record_read_complete(op.at, op.dur);
+            break;
+          case MonitorOp::Kind::kWriteComplete:
+            observer_->record_write_complete(op.at, op.dur);
+            break;
+          case MonitorOp::Kind::kWritePropagated:
+            observer_->on_write_propagated(op.key, op.start, op.delays);
+            break;
+          case MonitorOp::Kind::kReplicaReadRtt:
+            observer_->on_replica_read_rtt(op.replica, op.dur, op.cross_dc);
+            break;
+        }
+      });
 }
 
 // ------------------------------------------------------------ failures
@@ -1473,7 +1462,7 @@ void Cluster::schedule_fault(const FaultSpec& f) {
   ev.u.fault = {static_cast<std::uint32_t>(f.op),
                 static_cast<std::uint32_t>(f.dc), f.factor};
   // Faults mutate cross-shard state (liveness, link multipliers); the instant
-  // becomes a fence so the action executes merged-serial. No-op unsharded.
+  // becomes a fence so the action executes merged-serial.
   sim_->register_fence(f.at);
   sim_->schedule_event_at(f.at, ev);
 }

@@ -777,6 +777,13 @@ class Cluster {
   /// op dated strictly before `safe_time` to the global oracle and the
   /// observer; bumps the barrier epoch the memoized accessors key on.
   static void barrier_hook(void* ctx, SimTime safe_time);
+  /// The barrier merge shared by both logs: K-way-merges one per-shard log
+  /// (member `log`, cursor `pos`) by (at, seq), hands every op dated before
+  /// `safe_time` to `apply` in that order, and recycles drained logs.
+  template <typename Op, typename Apply>
+  void merge_shard_logs(std::vector<Op> ShardState::*log,
+                        std::size_t ShardState::*pos, SimTime safe_time,
+                        Apply&& apply);
   void apply_oracle_logs(SimTime safe_time);
 
   // ---- deferred observer (shard_count > 1) -------------------------------

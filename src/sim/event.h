@@ -27,7 +27,7 @@
 // Sharded execution: `shard` names the event shard the event must execute on
 // (see sim/shard.h — per-DC shards under conservative lookahead windows).
 // Schedule sites set it to the shard owning the state the handler touches;
-// in unsharded simulations it stays 0 and is ignored.
+// in a one-shard simulation it is always 0.
 #pragma once
 
 #include <cstddef>
@@ -84,7 +84,7 @@ constexpr std::size_t event_domain_index(EventKind kind) {
 struct TypedEvent {
   EventKind kind = EventKind::kClosure;
   std::uint8_t flag = 0;      ///< data_read / found
-  std::uint8_t shard = 0;     ///< destination event shard (0 when unsharded);
+  std::uint8_t shard = 0;     ///< destination event shard (0 with one shard);
                               ///< under key-range sharding this is the shard
                               ///< owning the destination node / key range
   std::uint8_t home = 0;      ///< shard owning the pending record (write legs

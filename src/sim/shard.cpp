@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <barrier>
 #include <limits>
+#include <optional>
 
 #include "sim/simulation.h"
 
@@ -31,7 +32,7 @@ ShardSet::ShardSet(Simulation& sim, std::uint32_t count, SimDuration lookahead,
     auto sh = std::make_unique<Shard>();
     sh->id = i;
     // Interleaved streams: shard i draws seqs i, i+K, i+2K, ... With K == 1
-    // this is the plain (0, 1) stream of the unsharded kernel.
+    // this is the plain (0, 1) stream.
     sh->queue.set_seq_stream(i, count);
     shards_.push_back(std::move(sh));
   }
@@ -74,43 +75,46 @@ struct TlsShardScope {
   ~TlsShardScope() { tls_current_shard = nullptr; }
 };
 
+/// Run the head event of `sh` if its time is <= bound.
+template <typename Dispatch>
+EventQueue::PopResult run_head(Shard& sh, SimTime bound, Dispatch& dispatch) {
+  return sh.queue.run_before(
+      bound,
+      [&sh](SimTime when, std::uint64_t seq) {
+        HARMONY_CHECK_MSG(when >= sh.now, "shard clock went backwards");
+        sh.now = when;
+        sh.current_seq = seq;
+        ++sh.events_processed;
+      },
+      dispatch);
+}
+
 /// Run every event of `sh` with time <= bound, in (time, seq) order.
-template <typename DispatchOwner>
-void run_shard_until(Shard& sh, SimTime bound, DispatchOwner&& dispatch) {
+template <typename Dispatch>
+void run_shard_until(Shard& sh, SimTime bound, Dispatch& dispatch) {
   TlsShardScope scope(sh);
-  while (sh.queue.run_before(
-             bound,
-             [&sh](SimTime when, std::uint64_t seq) {
-               HARMONY_CHECK_MSG(when >= sh.now, "shard clock went backwards");
-               sh.now = when;
-               sh.current_seq = seq;
-               ++sh.events_processed;
-             },
-             dispatch) == EventQueue::PopResult::kEvent) {
+  while (run_head(sh, bound, dispatch) == EventQueue::PopResult::kEvent) {
   }
 }
 }  // namespace
 
-void ShardSet::run_merged_serial(SimTime instant_end) {
+void ShardSet::run_merged_serial(SimTime last) {
   const auto dispatch = [this](const TypedEvent& ev) { sim_.dispatch(ev); };
+  if (count() == 1) {
+    // One shard's own (time, seq) order is the merge.
+    run_shard_until(*shards_[0], last, dispatch);
+    return;
+  }
   SimTime when;
   std::uint64_t seq;
   std::uint32_t which;
-  while (peek_global(when, seq, which) && when <= instant_end) {
+  while (peek_global(when, seq, which) && when <= last) {
     Shard& sh = *shards_[which];
     TlsShardScope scope(sh);
-    // Exactly one event: the horizon `when` admits only the global head
-    // (plus same-instant followers it may schedule, which the next peek
-    // re-orders against all shards).
-    const auto r = sh.queue.run_before(
-        when,
-        [&sh](SimTime w, std::uint64_t s) {
-          HARMONY_CHECK_MSG(w >= sh.now, "shard clock went backwards");
-          sh.now = w;
-          sh.current_seq = s;
-          ++sh.events_processed;
-        },
-        dispatch);
+    // Exactly one event: the bound `when` admits only the global head (plus
+    // same-instant followers it may schedule, which the next peek re-orders
+    // against all shards).
+    const auto r = run_head(sh, when, dispatch);
     HARMONY_CHECK(r == EventQueue::PopResult::kEvent);
   }
 }
@@ -118,9 +122,8 @@ void ShardSet::run_merged_serial(SimTime instant_end) {
 void ShardSet::run_window_slice(unsigned worker) {
   const auto dispatch = [this](const TypedEvent& ev) { sim_.dispatch(ev); };
   const unsigned stride = std::min<unsigned>(num_threads_, count());
-  // The window is [start, window_end_): run_before's horizon is inclusive.
   for (std::uint32_t s = worker; s < count(); s += stride) {
-    run_shard_until(*shards_[s], window_end_ - 1, dispatch);
+    run_shard_until(*shards_[s], window_last_, dispatch);
   }
 }
 
@@ -133,62 +136,34 @@ void ShardSet::drain_mailboxes() {
 }
 
 SimTime ShardSet::run(SimTime horizon) {
-  SimTime when;
-  std::uint64_t seq;
-  std::uint32_t which;
-
   const auto flush = [this](SimTime safe) {
     if (barrier_hook_ != nullptr) barrier_hook_(barrier_ctx_, safe);
   };
-  const auto final_time = [this, horizon]() {
-    // Mirror the unsharded run_until: the clock lands on the last executed
-    // event when drained, on the horizon when events remain beyond it.
-    SimTime end = 0;
-    for (const auto& sh : shards_) end = std::max(end, sh->now);
-    return idle() ? end : horizon;
-  };
 
-  if (num_threads_ <= 1 || count() == 1) {
-    // Serial reference mode: strict global (time, seq) order, windowed only
-    // to bound the deferred-work buffers. Fences are honored exactly like
-    // the parallel branch — every instant already runs serial, but barrier
-    // consumers (the deferred oracle/monitor logs, policy ticks at fences)
-    // must see the identical flush(safe) sequence in both modes so a fenced
-    // handler observes the same applied-prefix of deferred state.
-    while (peek_global(when, seq, which)) {
-      if (when > horizon) break;
-      const auto fence =
-          std::lower_bound(fences_.begin(), fences_.end(), when);
-      if (fence != fences_.end() && *fence == when) {
-        run_merged_serial(when);
-        flush(saturating_add(when, 1));
-        continue;
-      }
-      SimTime bound = std::min(horizon, saturating_add(when, lookahead_ - 1));
-      if (fence != fences_.end() && *fence - 1 < bound) bound = *fence - 1;
-      run_merged_serial(bound);
-      flush(saturating_add(bound, 1));
-    }
-    flush(kNever);
-    return final_time();
-  }
-
+  // With one worker every window runs merged-serial on this thread; with
+  // more, workers 1.. park at the gate between windows.
   const unsigned workers = std::min<unsigned>(num_threads_, count());
-  std::barrier<> gate(workers);
+  std::optional<std::barrier<>> gate;
   std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (unsigned w = 1; w < workers; ++w) {
-    pool.emplace_back([this, &gate, w] {
-      while (true) {
-        gate.arrive_and_wait();  // window published (or done)
-        if (done_) return;
-        run_window_slice(w);
-        gate.arrive_and_wait();  // window complete
-      }
-    });
+  if (workers > 1) {
+    gate.emplace(workers);
+    pool.reserve(workers - 1);
+    for (unsigned w = 1; w < workers; ++w) {
+      pool.emplace_back([this, &gate, w] {
+        while (true) {
+          gate->arrive_and_wait();  // window published (or done)
+          if (done_) return;
+          run_window_slice(w);
+          gate->arrive_and_wait();  // window complete
+        }
+      });
+    }
   }
 
   done_ = false;
+  SimTime when;
+  std::uint64_t seq;
+  std::uint32_t which;
   while (peek_global(when, seq, which) && when <= horizon) {
     const auto fence =
         std::lower_bound(fences_.begin(), fences_.end(), when);
@@ -200,23 +175,35 @@ SimTime ShardSet::run(SimTime horizon) {
       flush(saturating_add(when, 1));
       continue;
     }
-    SimTime wend = saturating_add(when, lookahead_);
-    if (fence != fences_.end() && *fence < wend) wend = *fence;
-    wend = std::min(wend, saturating_add(horizon, 1));
-    window_end_ = wend;
-    parallel_phase_ = true;
-    gate.arrive_and_wait();
-    run_window_slice(0);
-    gate.arrive_and_wait();
-    parallel_phase_ = false;
-    drain_mailboxes();
-    flush(wend);
+    // The window is [when, last]: one lookahead wide, cut short by the next
+    // fence and the horizon. Barrier consumers (the deferred oracle/monitor
+    // logs, fenced policy ticks) see the same flush(safe) sequence for every
+    // worker count, so a fenced handler observes the same applied prefix of
+    // deferred state.
+    SimTime last = std::min(horizon, saturating_add(when, lookahead_ - 1));
+    if (fence != fences_.end()) last = std::min(last, *fence - 1);
+    if (workers == 1) {
+      run_merged_serial(last);
+    } else {
+      window_last_ = last;
+      parallel_phase_ = true;
+      gate->arrive_and_wait();
+      run_window_slice(0);
+      gate->arrive_and_wait();
+      parallel_phase_ = false;
+      drain_mailboxes();
+    }
+    flush(saturating_add(last, 1));
   }
-  done_ = true;
-  gate.arrive_and_wait();
-  for (auto& t : pool) t.join();
+  if (workers > 1) {
+    done_ = true;
+    gate->arrive_and_wait();
+    for (auto& t : pool) t.join();
+  }
   flush(kNever);
-  return final_time();
+  SimTime end = 0;
+  for (const auto& sh : shards_) end = std::max(end, sh->now);
+  return idle() ? end : horizon;
 }
 
 std::uint64_t ShardSet::events_processed() const {

@@ -30,12 +30,13 @@
 //
 // With num_threads == 1 the executor runs everything merged-serial — that IS
 // the reference order; 2-thread and 4-thread runs must (and do, see the diff
-// harness) reproduce its output byte for byte. With K == 1 the single shard
-// uses seq stream (0, 1) and the behavior is identical to the unsharded
-// kernel.
+// harness) reproduce its output byte for byte. Every Simulation starts on a
+// one-shard set: seq stream (0, 1) and kNoLookahead, so its single queue runs
+// straight to the next fence or the horizon, one window per fence interval.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -130,10 +131,15 @@ struct Shard {
 /// cluster layer applies its deferred per-shard oracle logs here.
 using BarrierHook = void (*)(void* ctx, SimTime safe_time);
 
-/// The windowed executor. Owned by Simulation; constructed by
-/// Simulation::configure_shards().
+/// The windowed executor. Owned by Simulation: a one-shard set from its
+/// constructor, replaced by Simulation::configure_shards().
 class ShardSet {
  public:
+  /// The lookahead of a set that never carries a cross-shard event (the
+  /// default one-shard set): windows end only at fences and the horizon.
+  static constexpr SimDuration kNoLookahead =
+      std::numeric_limits<SimDuration>::max();
+
   ShardSet(Simulation& sim, std::uint32_t count, SimDuration lookahead,
            unsigned num_threads, std::uint32_t mailbox_capacity);
 
@@ -154,7 +160,7 @@ class ShardSet {
     // Mid-window cross-shard send: the lookahead bound must hold, or the
     // destination could have already run past `when` — a determinism bug at
     // the schedule site, not something to paper over.
-    HARMONY_CHECK_MSG(when >= window_end_,
+    HARMONY_CHECK_MSG(when > window_last_,
                       "cross-shard event inside the lookahead window");
     mailbox(from.id, dest.id).push(when, seq, ev);
   }
@@ -168,9 +174,10 @@ class ShardSet {
     barrier_ctx_ = ctx;
   }
 
-  /// Run until every queue drains or `horizon` passes. Merged-serial when
-  /// num_threads == 1, windowed-parallel otherwise; identical output either
-  /// way. Returns the final simulation time (max shard clock, or horizon).
+  /// Run until every queue drains or `horizon` passes, window by window.
+  /// Each window runs merged-serial on the calling thread when there is one
+  /// worker, and in parallel slices otherwise; identical output either way.
+  /// Returns the max shard clock when drained, else the horizon.
   SimTime run(SimTime horizon);
 
   std::uint64_t events_processed() const;
@@ -185,12 +192,12 @@ class ShardSet {
   }
 
   /// Run events from all shards in strict (time, seq) order while their time
-  /// is <= `instant_end`; stops when the next event is later. This is both
-  /// the single-thread execution mode and the fence-instant mode.
-  void run_merged_serial(SimTime instant_end);
+  /// is <= `last`; stops when the next event is later. This is both the
+  /// single-worker window step and the fence-instant mode.
+  void run_merged_serial(SimTime last);
 
   /// One worker's share of a parallel window: run every shard s with
-  /// s % num_workers == worker to just before window_end_.
+  /// s % num_workers == worker through window_last_.
   void run_window_slice(unsigned worker);
 
   void drain_mailboxes();
@@ -208,7 +215,7 @@ class ShardSet {
 
   // Window state, written by the control thread strictly before the barrier
   // workers cross to read it (std::barrier gives the happens-before edge).
-  SimTime window_end_ = 0;
+  SimTime window_last_ = 0;  ///< inclusive end of the running window
   bool parallel_phase_ = false;
   bool done_ = false;
 };

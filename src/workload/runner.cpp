@@ -496,22 +496,19 @@ class Runner final : public ClientEnv {
     }
     if (cfg_.record_trace) {
       // Stitch the lane trace buffers into the global issue order: each lane
-      // is already (time, seq)-sorted by construction, so one sort of the
-      // concatenation reproduces the merged stream byte-for-byte for every
-      // thread count. A single lane is the issue order already (and its
-      // seqs are all 0 when unsharded, so sorting could reorder ties).
+      // is already (time, seq)-sorted by construction and seqs are unique
+      // across lanes, so one sort of the concatenation reproduces the merged
+      // stream byte-for-byte for every thread count.
       r.trace = std::make_shared<Trace>();
       std::vector<StampedTrace> all;
       for (LaneState& s : lane_) {
         all.insert(all.end(), s.trace.begin(), s.trace.end());
       }
-      if (lane_.size() > 1) {
-        std::sort(all.begin(), all.end(),
-                  [](const StampedTrace& a, const StampedTrace& b) {
-                    return a.rec.time != b.rec.time ? a.rec.time < b.rec.time
-                                                    : a.seq < b.seq;
-                  });
-      }
+      std::sort(all.begin(), all.end(),
+                [](const StampedTrace& a, const StampedTrace& b) {
+                  return a.rec.time != b.rec.time ? a.rec.time < b.rec.time
+                                                  : a.seq < b.seq;
+                });
       r.trace->records.reserve(all.size());
       for (const StampedTrace& t : all) r.trace->records.push_back(t.rec);
     }

@@ -62,7 +62,8 @@ struct RunConfig {
   ///     aggregates;
   ///   * client DC re-routing is rejected (coordinators must stay in the
   ///     request's shard).
-  /// 0 (default) = classic serial unsharded execution.
+  /// 0 (default) = the simulation's default one-shard set: one queue, no
+  /// lookahead windows, none of the deltas above.
   unsigned num_shard_threads = 0;
 
   /// Key-range shards per DC (sharded runs only; ignored when

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -21,6 +22,16 @@ namespace {
 static_assert(!std::is_copy_constructible_v<EventFn>);
 static_assert(!std::is_copy_assignable_v<EventFn>);
 static_assert(std::is_nothrow_move_constructible_v<EventFn>);
+
+/// Run the earliest event at or before `horizon` through the queue's one pop
+/// path (run_before); `when` receives the event's time.
+EventQueue::PopResult run_one(EventQueue& q, SimTime horizon, SimTime& when) {
+  return q.run_before(
+      horizon, [&when](SimTime t, std::uint64_t /*seq*/) { when = t; },
+      [](const TypedEvent&) {});
+}
+
+constexpr SimTime kForever = std::numeric_limits<SimTime>::max();
 
 TEST(EventFn, AcceptsMoveOnlyCallables) {
   auto flag = std::make_unique<bool>(false);
@@ -65,13 +76,11 @@ TEST(EventQueue, SlotReuseDoesNotResurrectCancelledHandles) {
   EXPECT_TRUE(b.pending());
 
   SimTime when = 0;
-  EventFn fn;
-  ASSERT_TRUE(q.pop(when, fn));
-  fn();
+  ASSERT_EQ(run_one(q, kForever, when), EventQueue::PopResult::kEvent);
   EXPECT_EQ(when, 20);
   EXPECT_FALSE(a_ran);
   EXPECT_TRUE(b_ran);
-  EXPECT_FALSE(q.pop(when, fn));
+  EXPECT_EQ(run_one(q, kForever, when), EventQueue::PopResult::kEmpty);
 }
 
 TEST(EventQueue, CancellationChurnStress) {
@@ -224,32 +233,6 @@ TEST(TypedLane, InterleavesWithClosuresInScheduleOrder) {
   EXPECT_EQ(sim.events_processed(), 10u);
 }
 
-TEST(TypedLane, ErasedFallbackRunsTheIdenticalSequence) {
-  // set_typed_lane(false) wraps every typed event in a closure calling the
-  // same dispatcher; order, counts, and times must be unchanged.
-  auto run = [](bool typed) {
-    Simulation sim(7);
-    sim.set_typed_lane(typed);
-    sim.set_event_dispatcher(EventDomain::kUser, &record_probe);
-    std::vector<std::uint32_t> order;
-    Rng rng(3);
-    for (std::uint32_t i = 0; i < 200; ++i) {
-      const auto delay = static_cast<SimDuration>(rng.uniform_u64(40));
-      if (rng.chance(0.5)) {
-        sim.schedule_event(delay, probe(&order, i));
-      } else {
-        sim.schedule(delay, [&order, i] { order.push_back(i); });
-      }
-    }
-    sim.run();
-    return std::make_pair(order, sim.now());
-  };
-  const auto typed = run(true);
-  const auto erased = run(false);
-  EXPECT_EQ(typed.first, erased.first);
-  EXPECT_EQ(typed.second, erased.second);
-}
-
 TEST(TypedLane, ReentrantDispatchCanSchedule) {
   // A dispatcher that schedules follow-up events mid-pop (the request path's
   // normal shape: every hop schedules the next) must not invalidate the
@@ -326,12 +309,26 @@ TEST(EventQueue, PopBeforeHonorsHorizon) {
   q.push(10, [&] { ++ran; });
   q.push(30, [&] { ++ran; });
   SimTime when = 0;
-  EventFn fn;
-  EXPECT_EQ(q.pop_before(20, when, fn), EventQueue::PopResult::kEvent);
+  EXPECT_EQ(run_one(q, 20, when), EventQueue::PopResult::kEvent);
   EXPECT_EQ(when, 10);
-  EXPECT_EQ(q.pop_before(20, when, fn), EventQueue::PopResult::kLater);
-  EXPECT_EQ(q.pop_before(30, when, fn), EventQueue::PopResult::kEvent);
-  EXPECT_EQ(q.pop_before(30, when, fn), EventQueue::PopResult::kEmpty);
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(run_one(q, 20, when), EventQueue::PopResult::kLater);
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(run_one(q, 30, when), EventQueue::PopResult::kEvent);
+  EXPECT_EQ(when, 30);
+  EXPECT_EQ(run_one(q, 30, when), EventQueue::PopResult::kEmpty);
+  EXPECT_EQ(ran, 2);
+}
+
+TEST(EventQueue, TombstonesDoNotLeakIntoPop) {
+  EventQueue q;
+  auto h1 = q.push(10, [] {});
+  q.push(20, [] {});
+  h1.cancel();
+  SimTime when = 0;
+  ASSERT_EQ(run_one(q, kForever, when), EventQueue::PopResult::kEvent);
+  EXPECT_EQ(when, 20);
+  EXPECT_EQ(run_one(q, kForever, when), EventQueue::PopResult::kEmpty);
 }
 
 }  // namespace

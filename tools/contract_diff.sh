@@ -12,6 +12,8 @@
 #   bench_fig1_stale_model
 #   bench_harmony_ec2 --jobs=1
 #   bench_scale --smoke
+#   bench_resilience --seeds=2
+#   example_failover_drill
 #
 # Both trees are built fresh, so no committed golden file is involved: the
 # same seed may print different bytes under another compiler or libm, but
@@ -37,6 +39,8 @@ else
     "bench_fig1_stale_model"
     "bench_harmony_ec2 --jobs=1"
     "bench_scale --smoke"
+    "bench_resilience --seeds=2"
+    "example_failover_drill"
   )
 fi
 
