@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <functional>
+#include <memory>
 
 #include "cluster/cluster.h"
 #include "cluster/token_ring.h"
@@ -225,6 +226,32 @@ void BM_ClusterOps(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(done));
 }
 BENCHMARK(BM_ClusterOps);
+
+void BM_PreloadRange(benchmark::State& state) {
+  // Bulk dataset load (Cluster::preload_range) of range(0) records onto the
+  // open-loop benchmark's cluster shape, 8 nodes / 2 DCs / rf 3: placement,
+  // store sizing and the fill. Each iteration loads a fresh cluster; building
+  // and tearing it down is untimed.
+  const auto count = static_cast<std::uint64_t>(state.range(0));
+  cluster::ClusterConfig cfg;
+  cfg.node_count = 8;
+  cfg.dc_count = 2;
+  cfg.rf = 3;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto sim = std::make_unique<sim::Simulation>(42);
+    auto c = std::make_unique<cluster::Cluster>(*sim, cfg);
+    state.ResumeTiming();
+    c->preload_range(count, 1024);
+    state.PauseTiming();
+    c.reset();
+    sim.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PreloadRange)->Arg(100'000)->Arg(1'000'000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ShardedThroughput(benchmark::State& state) {
   // Single-run parallelism: one 3-DC EC2-style experiment partitioned into

@@ -203,17 +203,32 @@ void Cluster::invalidate_replica_cache() {
 
 void Cluster::preload_range(std::uint64_t count, std::uint32_t size) {
   ShardState& st = here();
-  // Size every store up front: the preload spreads count*rf entries evenly
-  // over the ring, and a 10M-record dataset would otherwise rehash each
-  // store ~14 times. Slack (x5/4) absorbs placement skew; stores still grow
-  // normally past it (inserts during the run).
-  const std::uint64_t per_node =
-      count * cfg_.rf / nodes_.size() + count * cfg_.rf / (nodes_.size() * 4);
-  for (auto& n : nodes_) n->store().reserve(per_node);
+  // Count, then fill. Vnode placement is skewed (8 nodes at rf=3 can hold
+  // from a third to nearly twice the even split), so sizing stores from the
+  // even split either rehashes the heaviest ones mid-load or oversizes the
+  // lightest. Instead: place every key once, keeping its replica list; size
+  // each store to its exact final key count (one table allocation per
+  // store, no rehash); then load in key order, replica order. The scratch
+  // (count*rf node ids) is set-up only and freed on return.
+  const std::size_t rf = static_cast<std::size_t>(cfg_.rf);
+  std::vector<net::NodeId> placed(count * rf);
+  std::vector<std::size_t> keys_on(nodes_.size(), 0);
+  for (std::uint64_t k = 0; k < count; ++k) {
+    const ReplicaList& replicas = replicas_for(k);
+    HARMONY_CHECK(replicas.size() == rf);
+    std::copy(replicas.begin(), replicas.end(), &placed[k * rf]);
+    for (const net::NodeId r : replicas) ++keys_on[r];
+  }
+  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+    ReplicaStore& store = nodes_[n]->store();
+    store.reserve(store.key_count() + keys_on[n]);
+  }
   for (std::uint64_t k = 0; k < count; ++k) {
     const std::uint64_t seq = ++st.write_seq * shards_.size() + st.id;
     const VersionedValue v{Version{0, seq}, size};
-    for (const net::NodeId r : replicas_for(k)) nodes_[r]->load(k, v);
+    for (std::size_t i = k * rf; i < (k + 1) * rf; ++i) {
+      nodes_[placed[i]]->load(k, v);
+    }
   }
 }
 

@@ -29,12 +29,4 @@ std::optional<VersionedValue> ReplicaStore::read(Key key) const {
   return *v;
 }
 
-void ReplicaStore::clear() {
-  table_.clear();
-  stored_bytes_ = 0;
-  reads_ = 0;
-  writes_applied_ = 0;
-  writes_superseded_ = 0;
-}
-
 }  // namespace harmony::cluster

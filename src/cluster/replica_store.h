@@ -26,8 +26,9 @@ class ReplicaStore {
 
   std::optional<VersionedValue> read(Key key) const;
 
-  /// Pre-size for a bulk load of `expected_keys` (one allocation instead of
-  /// a doubling cascade; see FlatTable::reserve).
+  /// Pre-size for `expected_keys` keys in total, resident ones included
+  /// (one allocation instead of a doubling cascade; see FlatTable::reserve).
+  /// Cluster::preload_range passes each store its exact final count.
   void reserve(std::size_t expected_keys) { table_.reserve(expected_keys); }
 
   std::size_t key_count() const { return table_.size(); }
@@ -36,8 +37,6 @@ class ReplicaStore {
   std::uint64_t reads() const { return reads_; }
   std::uint64_t writes_applied() const { return writes_applied_; }
   std::uint64_t writes_superseded() const { return writes_superseded_; }
-
-  void clear();
 
  private:
   FlatTable<VersionedValue> table_{1024};

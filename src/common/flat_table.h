@@ -62,10 +62,11 @@ class FlatTable {
     return {&table_[i].value, true};
   }
 
-  /// Pre-size for `expected_keys` insertions: one allocation and no rehash
-  /// until the table passes 50% load at that count. A 10M-record preload
-  /// otherwise pays ~14 doublings, each moving every resident entry. No-op
-  /// when the table is already big enough; never shrinks.
+  /// Pre-size for a table that will hold `expected_keys` keys in total
+  /// (resident keys included; not an increment): one allocation, and no
+  /// rehash until the table holds more than that. Without it a bulk load
+  /// pays a doubling per power of two, each moving every resident entry.
+  /// No-op when the table is already big enough; never shrinks.
   void reserve(std::size_t expected_keys) {
     std::size_t want = initial_capacity_;
     while (want < expected_keys * 2) want *= 2;
@@ -94,13 +95,6 @@ class FlatTable {
   /// Keys present (never decreases: keys are never erased).
   std::size_t size() const { return used_ + (has_sentinel_ ? 1 : 0); }
   bool empty() const { return size() == 0; }
-
-  void clear() {
-    table_.clear();
-    used_ = 0;
-    has_sentinel_ = false;
-    sentinel_value_ = Value{};
-  }
 
  private:
   /// Empty-slot marker. A real key with this value is legal — it just lives

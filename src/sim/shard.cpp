@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <barrier>
+#include <exception>
 #include <limits>
 #include <optional>
 
@@ -141,19 +142,32 @@ SimTime ShardSet::run(SimTime horizon) {
   };
 
   // With one worker every window runs merged-serial on this thread; with
-  // more, workers 1.. park at the gate between windows.
+  // more, workers 1.. park at the gate between windows. A handler that
+  // throws (a failed HARMONY_CHECK) must not strand the pool: each worker
+  // catches into its own slot and still arrives at the window's closing
+  // gate, the control thread stops after that gate, releases and joins the
+  // pool, and rethrows the lowest-numbered worker's exception.
   const unsigned workers = std::min<unsigned>(num_threads_, count());
   std::optional<std::barrier<>> gate;
   std::vector<std::thread> pool;
+  std::vector<std::exception_ptr> failed;  // one slot per worker
+  const auto run_slice = [this, &failed](unsigned w) {
+    try {
+      run_window_slice(w);
+    } catch (...) {
+      failed[w] = std::current_exception();
+    }
+  };
   if (workers > 1) {
     gate.emplace(workers);
+    failed.resize(workers);
     pool.reserve(workers - 1);
     for (unsigned w = 1; w < workers; ++w) {
-      pool.emplace_back([this, &gate, w] {
+      pool.emplace_back([this, &gate, &run_slice, w] {
         while (true) {
           gate->arrive_and_wait();  // window published (or done)
           if (done_) return;
-          run_window_slice(w);
+          run_slice(w);
           gate->arrive_and_wait();  // window complete
         }
       });
@@ -161,45 +175,56 @@ SimTime ShardSet::run(SimTime horizon) {
   }
 
   done_ = false;
-  SimTime when;
-  std::uint64_t seq;
-  std::uint32_t which;
-  while (peek_global(when, seq, which) && when <= horizon) {
-    const auto fence =
-        std::lower_bound(fences_.begin(), fences_.end(), when);
-    if (fence != fences_.end() && *fence == when) {
-      // Fence instant: cross-shard state may be mutated, so run the whole
-      // instant merged-serial on this thread (workers stay parked at the
-      // window gate).
-      run_merged_serial(when);
-      flush(saturating_add(when, 1));
-      continue;
+  // Every throw below happens between windows, with the pool parked at the
+  // publish gate.
+  std::exception_ptr failure;
+  try {
+    SimTime when;
+    std::uint64_t seq;
+    std::uint32_t which;
+    while (peek_global(when, seq, which) && when <= horizon) {
+      const auto fence =
+          std::lower_bound(fences_.begin(), fences_.end(), when);
+      if (fence != fences_.end() && *fence == when) {
+        // Fence instant: cross-shard state may be mutated, so run the whole
+        // instant merged-serial on this thread (workers stay parked at the
+        // window gate).
+        run_merged_serial(when);
+        flush(saturating_add(when, 1));
+        continue;
+      }
+      // The window is [when, last]: one lookahead wide, cut short by the
+      // next fence and the horizon. Barrier consumers (the deferred
+      // oracle/monitor logs, fenced policy ticks) see the same flush(safe)
+      // sequence for every worker count, so a fenced handler observes the
+      // same applied prefix of deferred state.
+      SimTime last = std::min(horizon, saturating_add(when, lookahead_ - 1));
+      if (fence != fences_.end()) last = std::min(last, *fence - 1);
+      if (workers == 1) {
+        run_merged_serial(last);
+      } else {
+        window_last_ = last;
+        parallel_phase_ = true;
+        gate->arrive_and_wait();
+        run_slice(0);
+        gate->arrive_and_wait();
+        parallel_phase_ = false;
+        for (const std::exception_ptr& e : failed) {
+          if (e) std::rethrow_exception(e);
+        }
+        drain_mailboxes();
+      }
+      flush(saturating_add(last, 1));
     }
-    // The window is [when, last]: one lookahead wide, cut short by the next
-    // fence and the horizon. Barrier consumers (the deferred oracle/monitor
-    // logs, fenced policy ticks) see the same flush(safe) sequence for every
-    // worker count, so a fenced handler observes the same applied prefix of
-    // deferred state.
-    SimTime last = std::min(horizon, saturating_add(when, lookahead_ - 1));
-    if (fence != fences_.end()) last = std::min(last, *fence - 1);
-    if (workers == 1) {
-      run_merged_serial(last);
-    } else {
-      window_last_ = last;
-      parallel_phase_ = true;
-      gate->arrive_and_wait();
-      run_window_slice(0);
-      gate->arrive_and_wait();
-      parallel_phase_ = false;
-      drain_mailboxes();
-    }
-    flush(saturating_add(last, 1));
+  } catch (...) {
+    failure = std::current_exception();
   }
   if (workers > 1) {
     done_ = true;
     gate->arrive_and_wait();
     for (auto& t : pool) t.join();
   }
+  if (failure) std::rethrow_exception(failure);
   flush(kNever);
   SimTime end = 0;
   for (const auto& sh : shards_) end = std::max(end, sh->now);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
+#include "alloc_guard.h"
 #include "common/check.h"
 
 namespace harmony::cluster {
@@ -29,6 +31,47 @@ TEST(Cluster, PreloadPopulatesAllReplicas) {
     }
   }
   EXPECT_EQ(c.storage_bytes(), 100ull * 512 * 5);
+}
+
+TEST(Cluster, PreloadSizesEachStoreOnce) {
+  // The open-loop benchmark's shape (8 nodes / 2 DCs / rf 3) at a size where
+  // vnode placement is skewed: at seed 1 nodes 0, 2 and 6 hold more than
+  // 2048 of the 4000 keys' replicas, so tables sized for the even split plus
+  // a quarter (1875 keys -> 4096 slots) would have to grow mid-load.
+  constexpr std::uint64_t kCount = 4000;
+  sim::Simulation sim(1);
+  ClusterConfig cfg;
+  cfg.node_count = 8;
+  cfg.dc_count = 2;
+  cfg.rf = 3;
+  cfg.latency = net::TieredLatencyModel::ec2_two_az();
+  Cluster c(sim, cfg);
+
+  const harmony::testing::AllocGuard guard;
+  c.preload_range(kCount, 100);
+  // One table per store plus the two scratch buffers (placements, tallies).
+  EXPECT_LE(guard.allocations(), cfg.node_count + 2);
+
+  std::vector<std::size_t> expected(cfg.node_count, 0);
+  for (Key k = 0; k < kCount; ++k) {
+    for (const net::NodeId r : c.replicas_for(k)) ++expected[r];
+  }
+  std::size_t past_even_split = 0;
+  for (net::NodeId n = 0; n < cfg.node_count; ++n) {
+    EXPECT_EQ(c.node(n).store().key_count(), expected[n]) << "node " << n;
+    if (expected[n] > 2048) ++past_even_split;
+  }
+  EXPECT_GE(past_even_split, 3u) << "placement no longer skewed enough";
+
+  // One shard: the k-th preloaded key carries write id k + 1 everywhere.
+  for (Key k = 0; k < kCount; ++k) {
+    for (const net::NodeId r : c.replicas_for(k)) {
+      const auto v = c.node(r).store().read(k);
+      ASSERT_TRUE(v.has_value()) << "key " << k << " node " << r;
+      EXPECT_EQ(v->version, (Version{0, k + 1})) << "key " << k;
+      EXPECT_EQ(v->size_bytes, 100u);
+    }
+  }
 }
 
 TEST(Cluster, WriteReachesAllReplicasEventually) {

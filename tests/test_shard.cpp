@@ -12,7 +12,9 @@
 //     bit for bit at 1, 2, and 4 worker threads;
 //   * fence instants running merged-serial (cross-shard mutation is safe);
 //   * barrier-hook safe-time monotonicity;
-//   * shards with zero events neither stalling nor perturbing the run.
+//   * shards with zero events neither stalling nor perturbing the run;
+//   * a handler that throws mid-window reaching the caller, on either side
+//     of the window gate, with the worker pool joined.
 //
 // Built as its own binary so CI's TSan job can exercise the window barrier,
 // mailbox hand-off, and fence protocol under the race detector directly.
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "alloc_guard.h"
+#include "common/check.h"
 #include "common/time_types.h"
 #include "sim/event.h"
 #include "sim/event_queue.h"
@@ -476,6 +479,46 @@ TEST(ShardSet, FenceInstantRunsMergedSerialAcrossShards) {
   EXPECT_EQ(serial, expected);
   EXPECT_EQ(serial, run(2));
   EXPECT_EQ(serial, run(4));
+}
+
+// ------------------------------------------------------ handler exceptions
+
+/// Fails a check in every handler that runs on `fail_shard`.
+struct FailingProbe {
+  Simulation* sim = nullptr;
+  std::uint32_t fail_shard = 0;
+
+  static void dispatch(const TypedEvent& ev) {
+    auto* p = static_cast<FailingProbe*>(ev.target);
+    HARMONY_CHECK_MSG(p->sim->current_shard() != p->fail_shard,
+                      "probe handler failed");
+  }
+};
+
+TEST(ShardSet, HandlerFailureMidWindowReachesTheCaller) {
+  // Two shards on two threads: the control thread runs shard 0, the worker
+  // shard 1. Whichever side throws, the other still closes the window, the
+  // pool is joined, and run() rethrows instead of terminating the process.
+  for (const std::uint32_t fail_shard : {0u, 1u}) {
+    Simulation sim(13);
+    sim.configure_shards(2, 1000, 2, 16);
+    sim.set_event_dispatcher(EventDomain::kUser, &FailingProbe::dispatch);
+    FailingProbe probe;
+    probe.sim = &sim;
+    probe.fail_shard = fail_shard;
+    for (std::uint32_t s = 0; s < 2; ++s) {
+      sim.set_setup_shard(s);
+      for (const SimTime at : {SimTime{10}, SimTime{5000}}) {
+        TypedEvent ev;
+        ev.kind = EventKind::kUserProbe;
+        ev.shard = static_cast<std::uint8_t>(s);
+        ev.target = &probe;
+        sim.schedule_event_at(at, ev);
+      }
+    }
+    sim.set_setup_shard(0);
+    EXPECT_THROW(sim.run(), CheckError) << "failing shard " << fail_shard;
+  }
 }
 
 // ------------------------------------------------------------- barrier hook

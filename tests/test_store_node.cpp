@@ -43,14 +43,6 @@ TEST(ReplicaStore, MissingKey) {
   EXPECT_EQ(s.reads(), 1u);
 }
 
-TEST(ReplicaStore, ClearResets) {
-  ReplicaStore s;
-  s.apply(1, {{1, 1}, 10});
-  s.clear();
-  EXPECT_EQ(s.key_count(), 0u);
-  EXPECT_EQ(s.stored_bytes(), 0u);
-}
-
 TEST(Node, ServiceAddsQueueingUnderLoad) {
   NodeParams p;
   p.service_jitter_sigma = 0;        // deterministic
