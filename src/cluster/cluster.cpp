@@ -70,32 +70,19 @@ Cluster::Cluster(sim::Simulation& sim, ClusterConfig cfg)
   sim.set_event_dispatcher(sim::EventDomain::kCluster, &Cluster::dispatch_event);
   for (const int w : cfg_.rf_per_dc()) rf_per_dc_.push_back(w);
 
-  // Per-shard request-path state. One instance when the simulation has a
-  // single shard (the default set, or a configured one-shard set); one per
-  // event shard otherwise (a shard per DC, or S_d key-range shards
-  // per DC when the simulation carries a shard plan). Shard RNGs fork before
-  // the node RNGs below, in shard order, so a single-shard cluster replays
-  // the historical master-RNG draw sequence byte for byte.
+  // Per-shard request-path state, one instance per event shard; the shard
+  // map lays DCs, nodes and key ranges over them. Shard RNGs fork before the
+  // node RNGs below, in shard order, so a single-shard cluster replays the
+  // historical master-RNG draw sequence byte for byte.
   const std::uint32_t shard_count = sim.shard_count();
+  shard_map_.build(topo_, shard_count);
+  HARMONY_CHECK_MSG(
+      sim.lookahead() <=
+          ShardMap::lookahead(cfg_.latency, cfg_.dc_count, shard_count),
+      "conservative sharding needs the latency floor of every hop class that "
+      "can cross shards (cross_dc, and same_rack/same_dc once a DC splits) "
+      ">= the configured lookahead");
   deferred_ = shard_count > 1;
-  if (deferred_) {
-    // Validates the plan (one entry per DC summing to shard_count; without a
-    // plan, exactly one shard per DC) and maps nodes/key ranges to shards.
-    shard_map_.build(topo_, sim.shard_plan(), shard_count);
-    HARMONY_CHECK_MSG(cfg_.latency.cross_dc.floor >= sim.lookahead(),
-                      "conservative sharding needs every cross-DC link delay "
-                      ">= the configured lookahead (set cross_dc.floor)");
-    if (shard_map_.multi_shard_dc()) {
-      // Splitting a DC into key-range shards makes same-rack/same-DC hops
-      // (write fan-out, acks, repairs between co-located replicas) possible
-      // cross-shard events, so those latency classes need floors covering
-      // the lookahead too — not just cross-DC.
-      HARMONY_CHECK_MSG(cfg_.latency.same_rack.floor >= sim.lookahead() &&
-                            cfg_.latency.same_dc.floor >= sim.lookahead(),
-                        "key-range sharding makes intra-DC hops cross-shard: "
-                        "same_rack/same_dc floors must cover the lookahead");
-    }
-  }
   shards_.reserve(shard_count);
   for (std::uint32_t s = 0; s < shard_count; ++s) {
     // lint: allow(hot-path-alloc): construction-time shard array; steady
@@ -140,16 +127,13 @@ Cluster::Cluster(sim::Simulation& sim, ClusterConfig cfg)
   latency_mult_.assign(cfg_.node_count, 1.0);
   if (cfg_.resilience.admission_rate > 0) {
     // Buckets start full so a run's leading edge is not spuriously shed.
-    // Sharded: one bucket per shard carrying 1/S_d of its DC's rate and
-    // burst, so shards admit independently (no cross-shard bucket mutation)
-    // while the per-DC aggregate matches the configuration; S_d == 1 divides
-    // by 1.0 — exact, byte-identical to the per-DC buckets.
-    admission_.resize(deferred_ ? shard_count : cfg_.dc_count);
+    // One bucket per DC per shard of that DC (ShardMap::admission_bucket),
+    // each carrying 1/S of its DC's rate and burst, so shards admit
+    // independently (no cross-shard bucket mutation) while the per-DC
+    // aggregate matches the configuration; S == 1 divides by 1.0 — exact.
+    admission_.resize(shard_map_.admission_buckets());
+    const auto split = static_cast<double>(shard_map_.shards_per_dc());
     for (std::size_t b = 0; b < admission_.size(); ++b) {
-      const double split =
-          deferred_ ? static_cast<double>(shard_map_.shards_in_dc(
-                          shard_map_.dc_of_shard(static_cast<std::uint32_t>(b))))
-                    : 1.0;
       admission_[b].rate = cfg_.resilience.admission_rate / split;
       admission_[b].burst = cfg_.resilience.admission_burst / split;
       admission_[b].tokens = admission_[b].burst;
@@ -250,23 +234,17 @@ net::NodeId Cluster::pick_coordinator(net::DcId dc, Rng& rng) {
     }
     return -1;  // unreachable
   };
-  if (deferred_) {
-    // A node's coordinator state (service queue, busy time) is owned by
-    // exactly one shard, so the pick must stay inside the executing shard's
-    // node list — which IS the DC's list under the one-shard-per-DC plan
-    // (identical candidates, identical draw), and that shard's round-robin
-    // slice of it under key-range sharding.
-    const int sc = pick_from(shard_map_.nodes_of_shard(sim_->current_shard()));
-    HARMONY_CHECK_MSG(sc >= 0,
-                      "sharded execution requires an alive coordinator in the "
-                      "request's shard");
-    return static_cast<net::NodeId>(sc);
-  }
-  int c = pick_from(topo_.nodes_in_dc(dc));
+  // A node's coordinator state (service queue, busy time) is owned by
+  // exactly one shard, so the pick stays inside the DC's nodes that the
+  // executing shard owns: the whole DC unless the DC splits.
+  int c = pick_from(shard_map_.coordinators(dc, sim_->current_shard()));
   if (c >= 0) return static_cast<net::NodeId>(c);
-  // Whole-DC outage: fall back to any alive node (sharded runs failed above
-  // instead — like the DC blackout faults that cause this, the fallback is
-  // serial-only).
+  // Whole-DC outage: fall back to any alive node. That node may live on
+  // another shard, so like the DC blackout faults that cause this, the
+  // fallback needs a single shard.
+  HARMONY_CHECK_MSG(!deferred_,
+                    "sharded execution requires an alive coordinator in the "
+                    "request's shard");
   c = pick_from(std::views::iota(
       net::NodeId{0}, static_cast<net::NodeId>(topo_.node_count())));
   HARMONY_CHECK_MSG(c >= 0, "no alive node to coordinate");
@@ -341,13 +319,10 @@ ReplicaList Cluster::order_for_read(net::NodeId coord,
 void Cluster::client_write(net::DcId client_dc, Key key, std::uint32_t size,
                            ReplicaRequirement req, WriteCallback cb,
                            net::DcId origin_dc) {
+  // The workload layer routes each operation to home_shard(client_dc, key):
+  // request state lives on this shard, and the shard map checks it is one
+  // of the client DC's shards when the coordinator is picked.
   ShardState& st = here();
-  // The workload layer routes each operation to home_shard(client_dc, key);
-  // the cluster only asserts the shard belongs to the client's DC (request
-  // state lives here, the coordinator pool is this shard's node list).
-  HARMONY_CHECK_MSG(
-      !deferred_ || shard_map_.dc_of_shard(sim_->current_shard()) == client_dc,
-      "sharded writes must be issued from a shard of the client's DC");
   // Acquired slots come back in default state (release resets them), so only
   // the non-default fields need touching.
   HARMONY_CHECK_MSG(!deferred_ ||
@@ -675,11 +650,7 @@ void Cluster::write_deliver(WriteHandle h) {
 
 void Cluster::client_read(net::DcId client_dc, Key key, ReplicaRequirement req,
                           ReadCallback cb, net::DcId origin_dc) {
-  ShardState& st = here();
-  // See client_write: issuing shard must belong to the client's DC.
-  HARMONY_CHECK_MSG(
-      !deferred_ || shard_map_.dc_of_shard(sim_->current_shard()) == client_dc,
-      "sharded reads must be issued from a shard of the client's DC");
+  ShardState& st = here();  // see client_write
   HARMONY_CHECK_MSG(!deferred_ ||
                         st.pending_reads.live() < st.pending_reads.capacity(),
                     "sharded_slot_reserve exhausted (pending reads)");
@@ -955,8 +926,8 @@ void Cluster::observe_read_rtt(ShardState& st, SimDuration rtt) {
 }
 
 SimDuration Cluster::admit(net::DcId dc) {
-  // Rate and burst live in the bucket: per DC unsharded, per shard (1/S_d of
-  // the DC's configuration) sharded.
+  // Rate and burst live in the bucket: per DC per shard of that DC (1/S of
+  // the DC's configuration).
   TokenBucket& b = admission_bucket(dc);
   const SimTime now = sim_->now();
   b.tokens = std::min(
@@ -1190,71 +1161,85 @@ void Cluster::repair_apply(net::NodeId target, Key key,
   nodes_[target]->store().apply(key, value);
 }
 
-// ------------------------------------------------------------ deferred oracle
+// ------------------------------------------------------------ oracle sink
 
-// The staleness oracle is global state with monotonicity contracts, so a
-// sharded run cannot call it mid-window. Instead every oracle touch appends
-// to the executing shard's log, stamped with the event's (time, seq); the
-// window-barrier hook K-way-merges the logs in that order — which IS the
-// serial call order (per-shard logs are time-sorted by construction, and seq
-// streams are disjoint residues mod K, so cross-shard ties cannot happen).
+// The staleness oracle is global state with monotonicity contracts. With one
+// shard every oracle touch applies at once. With several, a shard cannot call
+// it mid-window: every touch appends to the executing shard's log, stamped
+// with the event's (time, seq), and the window-barrier hook K-way-merges the
+// logs in that order — which IS the one-shard call order (per-shard logs are
+// time-sorted by construction, and seq streams are disjoint residues mod K,
+// so cross-shard ties cannot happen). Both routes apply through
+// apply_oracle_op.
+
+StalenessOracle::Judgement Cluster::oracle_sink(const OracleOp& op) {
+  if (!deferred_) return apply_oracle_op(op);
+  // Amortized per-shard log append (vector growth), recycled by the barrier
+  // hook; sharded runs only — the alloc-pinned request path applies at once
+  // (alloc_guard runs on one shard). The judgement lands at the next
+  // barrier, after the read was delivered: it stays fresh (the caller's
+  // ReadResult::stale is false); the oracle's aggregate counters are exact.
+  here().oracle_log.push_back(op);
+  return {};
+}
+
+StalenessOracle::Judgement Cluster::apply_oracle_op(const OracleOp& op) {
+  StalenessOracle::Judgement judgement;
+  switch (op.kind) {
+    case OracleOp::Kind::kCommit:
+      oracle_.record_commit(op.key, op.version, op.at);
+      break;
+    case OracleOp::Kind::kBeginRead:
+      oracle_.begin_read(op.read_start);
+      break;
+    case OracleOp::Kind::kEndRead:
+      oracle_.end_read(op.read_start);
+      break;
+    case OracleOp::Kind::kJudgeEnd:
+      judgement = oracle_.judge(op.key, op.version, op.read_start);
+      oracle_.end_read(op.read_start);
+      break;
+  }
+  return judgement;
+}
 
 void Cluster::oracle_commit(Key key, const Version& version) {
-  if (!deferred_) {
-    oracle_.record_commit(key, version, sim_->now());
-    return;
-  }
-  // Amortized per-shard log append (vector growth), recycled by the barrier
-  // hook; sharded runs only — the alloc-pinned serial request path takes the
-  // direct call above (alloc_guard runs unsharded).
-  here().oracle_log.push_back(OracleOp{sim_->now(), sim_->current_seq(), key,
-                                       version, 0, OracleOp::Kind::kCommit});
+  oracle_sink({sim_->now(), sim_->current_seq(), key, version, 0,
+               OracleOp::Kind::kCommit});
 }
 
 void Cluster::oracle_begin_read(SimTime read_start) {
-  if (!deferred_) {
-    oracle_.begin_read(read_start);
-    return;
-  }
-  // Amortized log append; see oracle_commit.
-  here().oracle_log.push_back(OracleOp{sim_->now(), sim_->current_seq(), 0,
-                                       kNoVersion, read_start,
-                                       OracleOp::Kind::kBeginRead});
+  oracle_sink({sim_->now(), sim_->current_seq(), 0, kNoVersion, read_start,
+               OracleOp::Kind::kBeginRead});
 }
 
 void Cluster::oracle_end_read(SimTime read_start) {
-  if (!deferred_) {
-    oracle_.end_read(read_start);
-    return;
-  }
-  // Amortized log append; see oracle_commit.
-  here().oracle_log.push_back(OracleOp{sim_->now(), sim_->current_seq(), 0,
-                                       kNoVersion, read_start,
-                                       OracleOp::Kind::kEndRead});
+  oracle_sink({sim_->now(), sim_->current_seq(), 0, kNoVersion, read_start,
+               OracleOp::Kind::kEndRead});
 }
 
 void Cluster::oracle_judge_end(Key key, const Version& returned,
                                SimTime read_start, ReadResult* result) {
-  if (!deferred_) {
-    const auto judgement = oracle_.judge(key, returned, read_start);
-    result->stale = judgement.stale;
-    result->staleness_age = judgement.age;
-    oracle_.end_read(read_start);
-    return;
-  }
-  // The judgement lands at the next barrier — after this result was
-  // delivered. ReadResult.stale stays false under shard_count > 1 (a
-  // documented restriction); the oracle's aggregate counters remain exact.
-  // Amortized log append; see oracle_commit.
-  here().oracle_log.push_back(OracleOp{sim_->now(), sim_->current_seq(), key,
-                                       returned, read_start,
-                                       OracleOp::Kind::kJudgeEnd});
+  const auto judgement =
+      oracle_sink({sim_->now(), sim_->current_seq(), key, returned,
+                   read_start, OracleOp::Kind::kJudgeEnd});
+  result->stale = judgement.stale;
+  result->staleness_age = judgement.age;
 }
 
 void Cluster::barrier_hook(void* ctx, SimTime safe_time) {
   Cluster* c = static_cast<Cluster*>(ctx);
-  c->apply_oracle_logs(safe_time);
-  c->apply_monitor_logs(safe_time);
+  c->merge_shard_logs(&ShardState::oracle_log, &ShardState::oracle_pos,
+                      safe_time,
+                      [c](const OracleOp& op) { c->apply_oracle_op(op); });
+  if (c->observer_ != nullptr) {
+    c->merge_shard_logs(&ShardState::monitor_log, &ShardState::monitor_pos,
+                        safe_time, [c](const LoggedMonitorOp& logged) {
+                          MonitorOp op = logged;
+                          op.delays = &logged.owned_delays;
+                          c->apply_monitor_op(op);
+                        });
+  }
   // Cross-shard aggregates (net_stats) memoize on the barrier epoch: bumping
   // it here invalidates the merged snapshot exactly when per-shard state may
   // have advanced.
@@ -1298,43 +1283,50 @@ void Cluster::merge_shard_logs(std::vector<Op> ShardState::*log,
   }
 }
 
-void Cluster::apply_oracle_logs(SimTime safe_time) {
-  merge_shard_logs(
-      &ShardState::oracle_log, &ShardState::oracle_pos, safe_time,
-      [this](const OracleOp& op) {
-        switch (op.kind) {
-          case OracleOp::Kind::kCommit:
-            oracle_.record_commit(op.key, op.version, op.at);
-            break;
-          case OracleOp::Kind::kBeginRead:
-            oracle_.begin_read(op.read_start);
-            break;
-          case OracleOp::Kind::kEndRead:
-            oracle_.end_read(op.read_start);
-            break;
-          case OracleOp::Kind::kJudgeEnd:
-            oracle_.judge(op.key, op.version, op.read_start);
-            oracle_.end_read(op.read_start);
-            break;
-        }
-      });
-}
-
-// ---------------------------------------------------------- deferred observer
+// ---------------------------------------------------------- observer sink
 
 // The observer (monitor/monitor.h) couples all six callback kinds through one
-// last-event timestamp and one reservoir RNG, so sharded runs cannot invoke
-// it mid-window from racing shards. Like the oracle, every observer touch
-// appends to the executing shard's log; the barrier hook K-way-merges the
-// logs in (time, seq) order — the serial call order — and replays them with
-// the op's own timestamp as `now`.
+// last-event timestamp and one reservoir RNG, so it sees the same stream the
+// oracle does: applied at once with one shard; with several, logged per
+// shard and replayed by the barrier hook in (time, seq) order — the
+// one-shard call order — with the op's own timestamp as `now`.
 
-Cluster::MonitorOp& Cluster::append_monitor_op(MonitorOp::Kind kind) {
+void Cluster::monitor_sink(const MonitorOp& op) {
+  if (!deferred_) {
+    apply_monitor_op(op);
+    return;
+  }
   // Amortized per-shard log append (vector growth), recycled by the barrier
-  // hook; sharded runs only — unsharded callers dispatch directly.
-  auto& log = here().monitor_log;
-  log.emplace_back();
-  MonitorOp& op = log.back();
+  // hook; sharded runs only (see oracle_sink).
+  here().monitor_log.push_back(
+      {op, op.delays != nullptr ? *op.delays : DelayList{}});
+}
+
+void Cluster::apply_monitor_op(const MonitorOp& op) {
+  switch (op.kind) {
+    case MonitorOp::Kind::kReadIssued:
+      observer_->record_read_issued(op.start, op.key);
+      break;
+    case MonitorOp::Kind::kWriteIssued:
+      observer_->record_write_issued(op.at, op.key, op.size);
+      break;
+    case MonitorOp::Kind::kReadComplete:
+      observer_->record_read_complete(op.at, op.dur);
+      break;
+    case MonitorOp::Kind::kWriteComplete:
+      observer_->record_write_complete(op.at, op.dur);
+      break;
+    case MonitorOp::Kind::kWritePropagated:
+      observer_->on_write_propagated(op.key, op.start, *op.delays);
+      break;
+    case MonitorOp::Kind::kReplicaReadRtt:
+      observer_->on_replica_read_rtt(op.replica, op.dur, op.cross_dc);
+      break;
+  }
+}
+
+Cluster::MonitorOp Cluster::monitor_op(MonitorOp::Kind kind) const {
+  MonitorOp op;
   op.at = sim_->now();
   op.seq = sim_->current_seq();
   op.kind = kind;
@@ -1343,96 +1335,52 @@ Cluster::MonitorOp& Cluster::append_monitor_op(MonitorOp::Kind kind) {
 
 void Cluster::record_read_issued(SimTime at, Key key) {
   if (observer_ == nullptr) return;
-  if (!deferred_) {
-    observer_->record_read_issued(at, key);
-    return;
-  }
-  MonitorOp& op = append_monitor_op(MonitorOp::Kind::kReadIssued);
+  MonitorOp op = monitor_op(MonitorOp::Kind::kReadIssued);
   op.key = key;
   op.start = at;
+  monitor_sink(op);
 }
 
 void Cluster::record_write_issued(Key key, std::uint32_t value_size) {
   if (observer_ == nullptr) return;
-  if (!deferred_) {
-    observer_->record_write_issued(sim_->now(), key, value_size);
-    return;
-  }
-  MonitorOp& op = append_monitor_op(MonitorOp::Kind::kWriteIssued);
+  MonitorOp op = monitor_op(MonitorOp::Kind::kWriteIssued);
   op.key = key;
   op.size = value_size;
+  monitor_sink(op);
 }
 
 void Cluster::record_read_complete(SimDuration latency) {
   if (observer_ == nullptr) return;
-  if (!deferred_) {
-    observer_->record_read_complete(sim_->now(), latency);
-    return;
-  }
-  append_monitor_op(MonitorOp::Kind::kReadComplete).dur = latency;
+  MonitorOp op = monitor_op(MonitorOp::Kind::kReadComplete);
+  op.dur = latency;
+  monitor_sink(op);
 }
 
 void Cluster::record_write_complete(SimDuration latency) {
   if (observer_ == nullptr) return;
-  if (!deferred_) {
-    observer_->record_write_complete(sim_->now(), latency);
-    return;
-  }
-  append_monitor_op(MonitorOp::Kind::kWriteComplete).dur = latency;
+  MonitorOp op = monitor_op(MonitorOp::Kind::kWriteComplete);
+  op.dur = latency;
+  monitor_sink(op);
 }
 
 void Cluster::observer_write_propagated(Key key, SimTime write_start,
                                         const DelayList& delays) {
   if (observer_ == nullptr) return;
-  if (!deferred_) {
-    observer_->on_write_propagated(key, write_start, delays);
-    return;
-  }
-  MonitorOp& op = append_monitor_op(MonitorOp::Kind::kWritePropagated);
+  MonitorOp op = monitor_op(MonitorOp::Kind::kWritePropagated);
   op.key = key;
   op.start = write_start;
-  op.delays = delays;
+  op.delays = &delays;
+  monitor_sink(op);
 }
 
 void Cluster::observer_replica_read_rtt(net::NodeId replica, SimDuration rtt,
                                         bool cross_dc) {
   if (observer_ == nullptr) return;
-  if (!deferred_) {
-    observer_->on_replica_read_rtt(replica, rtt, cross_dc);
-    return;
-  }
-  MonitorOp& op = append_monitor_op(MonitorOp::Kind::kReplicaReadRtt);
+  MonitorOp op = monitor_op(MonitorOp::Kind::kReplicaReadRtt);
   op.replica = replica;
   op.dur = rtt;
   op.cross_dc = cross_dc;
-}
-
-void Cluster::apply_monitor_logs(SimTime safe_time) {
-  if (observer_ == nullptr) return;
-  merge_shard_logs(
-      &ShardState::monitor_log, &ShardState::monitor_pos, safe_time,
-      [this](const MonitorOp& op) {
-        switch (op.kind) {
-          case MonitorOp::Kind::kReadIssued:
-            observer_->record_read_issued(op.start, op.key);
-            break;
-          case MonitorOp::Kind::kWriteIssued:
-            observer_->record_write_issued(op.at, op.key, op.size);
-            break;
-          case MonitorOp::Kind::kReadComplete:
-            observer_->record_read_complete(op.at, op.dur);
-            break;
-          case MonitorOp::Kind::kWriteComplete:
-            observer_->record_write_complete(op.at, op.dur);
-            break;
-          case MonitorOp::Kind::kWritePropagated:
-            observer_->on_write_propagated(op.key, op.start, op.delays);
-            break;
-          case MonitorOp::Kind::kReplicaReadRtt:
-            observer_->on_replica_read_rtt(op.replica, op.dur, op.cross_dc);
-            break;
-        }
-      });
+  monitor_sink(op);
 }
 
 // ------------------------------------------------------------ failures
@@ -1597,13 +1545,11 @@ std::size_t Cluster::sweep_shard_dirty(ShardState& st, std::size_t budget) {
     const Key key = *it;
     it = st.dirty_keys.erase(it);
     ++repaired;
-    if (deferred_) {
-      // A key whose replicas span several shards is dirty in each of them;
-      // repairing it once repairs every replica, so drop the duplicates
-      // (reproduces the single-global-set semantics of the serial path).
-      for (auto& other : shards_) {
-        if (other.get() != &st) other->dirty_keys.erase(key);
-      }
+    // A key whose replicas span several shards is dirty in each of them;
+    // repairing it once repairs every replica, so drop the duplicates
+    // (reproduces the single-global-set semantics of one shard).
+    for (auto& other : shards_) {
+      if (other.get() != &st) other->dirty_keys.erase(key);
     }
 
     const auto replicas = replicas_for(key);

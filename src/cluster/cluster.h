@@ -33,19 +33,19 @@
 //     whole-DC blackout, per-node / WAN latency degradation windows) ride
 //     the typed event lane, so every fault scenario is seed-reproducible.
 //
-// Sharded execution (docs/INVARIANTS.md "Cross-shard determinism"): when the
-// owning Simulation is partitioned into event shards — one per DC, or a
-// DC -> shard-count plan splitting DC d into S_d key-range shards over
-// TokenRing token ranges (see cluster/shard_map.h) — the cluster routes
-// every typed event to the shard owning the state its handler touches and
-// keeps ALL mutable request-path state per shard (ShardState below): RNG
-// stream, pending-request pools, hint store, replica cache, net/latency
-// stats, counters, anti-entropy dirty set. An operation on key k from DC d
-// executes on ShardMap::home_shard(d, k); replicas of one key may live on
-// *other* shards of the same DC, so write fan-out legs can be intra-DC
-// cross-shard events — the configured lookahead must therefore be a floor on
-// every link class that can cross shards (the intra-DC floors too once any
-// S_d > 1, not just cross-DC; the ctor checks this). Cross-shard interaction
+// Sharded execution (docs/INVARIANTS.md "Cross-shard determinism"): the
+// owning Simulation's event shards are laid out by a ShardMap
+// (cluster/shard_map.h) — all DCs on one shard, or every DC split into the
+// same number S of key-range shards over TokenRing token ranges. The cluster
+// routes every typed event to the shard owning the state its handler
+// touches and keeps ALL mutable request-path state per shard (ShardState
+// below): RNG stream, pending-request pools, hint store, replica cache,
+// net/latency stats, counters, anti-entropy dirty set. An operation on key k
+// from DC d executes on ShardMap::home_shard(d, k); replicas of one key may
+// live on *other* shards of the same DC, so write fan-out legs can be
+// intra-DC cross-shard events — the configured lookahead must therefore be a
+// floor on every link class that can cross shards (ShardMap::lookahead; the
+// ctor checks it). With several shards, cross-shard interaction
 // happens only through scheduled events with at least that delay, plus the
 // carefully-fenced exceptions:
 //   * write legs executing on a replica's shard read the *pinned* fields of
@@ -366,8 +366,8 @@ class Cluster {
   /// list into their pending state). Sharded runs keep one cache per shard.
   const ReplicaList& replicas_for(Key key) const;
 
-  /// Event shards the cluster routes across (1 unless the owning simulation
-  /// was configured with per-DC shards).
+  /// Event shards the cluster routes across: the owning simulation's shard
+  /// count (ShardMap lays DCs and key ranges over them).
   std::uint32_t shard_count() const {
     return static_cast<std::uint32_t>(shards_.size());
   }
@@ -420,17 +420,13 @@ class Cluster {
   void record_write_complete(SimDuration latency);
 
   /// Key-range ownership: the shard an operation on `key` issued from DC
-  /// `dc` must execute on (0 when unsharded — everything lives on the one
-  /// shard). The workload layer routes per-shard clients and open-loop
-  /// sources with this.
+  /// `dc` must execute on (always 0 with one shard). The workload layer
+  /// routes per-shard clients and open-loop sources with this.
   std::uint32_t home_shard(net::DcId dc, Key key) const {
-    return deferred_ ? shard_map_.home_shard(dc, key) : 0;
+    return shard_map_.home_shard(dc, key);
   }
-  /// The full key-range/node -> shard map (sharded runs only).
-  const ShardMap& shard_map() const {
-    HARMONY_CHECK_MSG(deferred_, "shard_map() is meaningful only when sharded");
-    return shard_map_;
-  }
+  /// The DC/key-range/node -> shard layout.
+  const ShardMap& shard_map() const { return shard_map_; }
 
   sim::Simulation& simulation() { return *sim_; }
 
@@ -594,10 +590,10 @@ class Cluster {
   };
   static constexpr std::size_t kReplicaCacheSize = 16384;
 
-  /// One deferred staleness-oracle call (shard_count > 1 only). Per-shard
-  /// logs are appended in that shard's execution order; the barrier hook
-  /// K-way-merges them by (at, seq) — the exact serial call order, which is
-  /// what the oracle's monotonicity contracts require.
+  /// One staleness-oracle call. With several shards, per-shard logs are
+  /// appended in that shard's execution order; the barrier hook K-way-merges
+  /// them by (at, seq) — the exact one-shard call order, which is what the
+  /// oracle's monotonicity contracts require.
   struct OracleOp {
     SimTime at = 0;
     std::uint64_t seq = 0;
@@ -613,8 +609,8 @@ class Cluster {
     Kind kind = Kind::kCommit;
   };
 
-  /// One deferred observer callback (shard_count > 1 only), logged and
-  /// barrier-merged exactly like OracleOp. A single log carries all six
+  /// One observer callback, applied at once or logged and barrier-merged
+  /// exactly like OracleOp. A single log carries all six
   /// callback kinds: the monitor's EWMA decay and reservoir state couple the
   /// client-side record_* hooks and the replica-side on_* hooks through one
   /// last-event timestamp, so replay must be the exact serial interleaving
@@ -629,7 +625,10 @@ class Cluster {
     SimDuration dur = 0;      ///< completion latency / replica rtt
     std::uint32_t size = 0;   ///< written value size
     net::NodeId replica = 0;  ///< kReplicaReadRtt
-    DelayList delays;         ///< kWritePropagated
+    /// kWritePropagated: the per-replica apply delays — the caller's list
+    /// when applied at once, the log entry's own copy when replayed. A
+    /// pointer keeps the op small: every observer call builds one.
+    const DelayList* delays = nullptr;
     enum class Kind : std::uint8_t {
       kReadIssued,
       kWriteIssued,
@@ -640,6 +639,11 @@ class Cluster {
     };
     Kind kind = Kind::kReadIssued;
     bool cross_dc = false;  ///< kReplicaReadRtt
+  };
+  /// A MonitorOp in a per-shard log, with its own copy of the delays: the
+  /// caller's list is gone by the time the barrier replays the op.
+  struct LoggedMonitorOp : MonitorOp {
+    DelayList owned_delays;
   };
 
   /// Everything the request path mutates, one instance per event shard (a
@@ -669,9 +673,9 @@ class Cluster {
     SlotPool<PendingWrite> pending_writes;
     SlotPool<PendingRead> pending_reads;
     std::vector<ReplicaCacheEntry> replica_cache;
-    std::vector<OracleOp> oracle_log;  ///< deferred mode only
+    std::vector<OracleOp> oracle_log;  ///< several shards only
     std::size_t oracle_pos = 0;        ///< merge cursor into oracle_log
-    std::vector<MonitorOp> monitor_log;  ///< deferred mode only
+    std::vector<LoggedMonitorOp> monitor_log;  ///< several shards only
     std::size_t monitor_pos = 0;         ///< merge cursor into monitor_log
     /// Keys written since this shard's last anti-entropy sweep (shard 0's
     /// set is the historical global one when unsharded).
@@ -684,11 +688,9 @@ class Cluster {
   /// dispatching shard's inside an event, shard 0 (or the setup shard) at
   /// setup time, the single instance when unsharded.
   ShardState& here() const { return *shards_[sim_->current_shard()]; }
-  /// The shard owning a node's replica state (ShardMap round-robin within
-  /// the node's DC — identical to "its DC" under the one-shard-per-DC plan),
-  /// 0 when unsharded.
+  /// The shard owning a node's replica state (ShardMap::node_shard).
   std::uint8_t shard_of(net::NodeId n) const {
-    return deferred_ ? shard_map_.node_shard(n) : 0;
+    return shard_map_.node_shard(n);
   }
   std::uint64_t sum(std::uint64_t ShardState::* m) const {
     std::uint64_t n = 0;
@@ -765,14 +767,21 @@ class Cluster {
   /// Deferred mode: fence + schedule the next sweep instant.
   void arm_anti_entropy_fence(SimTime at);
 
-  // ---- deferred oracle (shard_count > 1) ---------------------------------
+  // ---- oracle sink ---------------------------------------------------------
+  // Every oracle call site builds one OracleOp and hands it to oracle_sink:
+  // applied at once with one shard, appended to the executing shard's log
+  // (barrier-merged) with several. apply_oracle_op is the one switch both
+  // routes go through.
   void oracle_commit(Key key, const Version& version);
   void oracle_begin_read(SimTime read_start);
   void oracle_end_read(SimTime read_start);
-  /// Judge + end for a completed read. Unsharded: judges inline and fills
-  /// result->stale / staleness_age. Sharded: defers (result stays fresh).
+  /// Judge + end for a completed read; fills result->stale / staleness_age
+  /// from the judgement (fresh when the judgement is deferred).
   void oracle_judge_end(Key key, const Version& returned, SimTime read_start,
                         ReadResult* result);
+  /// The judgement of an applied kJudgeEnd op; default (fresh) otherwise.
+  StalenessOracle::Judgement oracle_sink(const OracleOp& op);
+  StalenessOracle::Judgement apply_oracle_op(const OracleOp& op);
   /// Window-barrier hook: merge per-shard logs by (at, seq) and apply every
   /// op dated strictly before `safe_time` to the global oracle and the
   /// observer; bumps the barrier epoch the memoized accessors key on.
@@ -784,17 +793,19 @@ class Cluster {
   void merge_shard_logs(std::vector<Op> ShardState::*log,
                         std::size_t ShardState::*pos, SimTime safe_time,
                         Apply&& apply);
-  void apply_oracle_logs(SimTime safe_time);
 
-  // ---- deferred observer (shard_count > 1) -------------------------------
-  // Observer-side call sites route through these: immediate when unsharded,
-  // appended to the executing shard's monitor log when deferred.
+  // ---- observer sink -------------------------------------------------------
+  // The same shape for the observer: each call site (the record_* hooks and
+  // these two) builds one MonitorOp for monitor_sink, and apply_monitor_op
+  // is the one switch that calls the observer.
   void observer_write_propagated(Key key, SimTime write_start,
                                  const DelayList& delays);
   void observer_replica_read_rtt(net::NodeId replica, SimDuration rtt,
                                  bool cross_dc);
-  MonitorOp& append_monitor_op(MonitorOp::Kind kind);
-  void apply_monitor_logs(SimTime safe_time);
+  /// A MonitorOp stamped with the executing event's (now, seq).
+  MonitorOp monitor_op(MonitorOp::Kind kind) const;
+  void monitor_sink(const MonitorOp& op);
+  void apply_monitor_op(const MonitorOp& op);
 
   sim::Simulation* sim_;
   ClusterConfig cfg_;
@@ -813,7 +824,7 @@ class Cluster {
   /// logs, write lifecycle legs route home as events, pools are pre-grown,
   /// and the sharded-restriction contract checks are armed.
   bool deferred_ = false;
-  /// Key-range/node -> shard ownership; built only when deferred.
+  /// DC/key-range/node -> shard ownership, for every shard count.
   ShardMap shard_map_;
   /// Window barriers seen so far (bumped by the barrier hook); memoized
   /// merged accessors re-merge only when it moved. 0 = setup time.
@@ -836,12 +847,12 @@ class Cluster {
 
   std::uint64_t anti_entropy_repairs_ = 0;
 
-  /// Admission token buckets (lazy refill on access), one per DC unsharded
-  /// and one per *shard* when sharded — each shard gets 1/S_d of its DC's
+  /// Admission token buckets (lazy refill on access), one per DC per shard
+  /// of that DC (ShardMap::admission_bucket) — each gets 1/S of its DC's
   /// rate and burst, so the aggregate admitted rate matches the per-DC
-  /// configuration while bucket b is touched only by shard b (no cross-shard
-  /// mutation; with S_d == 1 the split is exact and byte-identical). Each
-  /// bucket carries its own rate/burst and is padded to a cache line.
+  /// configuration while every bucket is touched by one shard only (no
+  /// cross-shard mutation; with S == 1 the split is exact). Each bucket
+  /// carries its own rate/burst and is padded to a cache line.
   struct TokenBucket {
     double tokens = 0;
     SimTime last = 0;
@@ -851,7 +862,7 @@ class Cluster {
   };
   /// The calling context's admission bucket for a request from `dc`.
   TokenBucket& admission_bucket(net::DcId dc) {
-    return admission_[deferred_ ? sim_->current_shard() : dc];
+    return admission_[shard_map_.admission_bucket(dc, sim_->current_shard())];
   }
   std::vector<TokenBucket> admission_;
 

@@ -1,124 +1,131 @@
-// Key-range shard topology: who owns what when one Simulation is split into
-// event shards (sim/shard.h, docs/INVARIANTS.md "Cross-shard determinism").
+// Shard layout: which event shard (sim/shard.h, docs/INVARIANTS.md
+// "Cross-shard determinism") owns which DC, node and key. Every Cluster
+// builds one, whatever its simulation's shard count, and it is the only
+// place that knows the DC -> shard layout.
 //
-// PR 8 sharded per DC: shard d owned every node of DC d and all keys homed
-// there. Key-range sharding generalizes that: each DC d splits into S_d
-// contiguous shard ids (the simulation's DC -> shard-count plan), its nodes
-// are dealt round-robin across those shards, and the token space is cut into
-// S_d equal ranges (TokenRing::range_of) so every key has exactly one home
-// shard per DC. All per-shard cluster and workload state (RNG lanes, slot
-// pools, counters, hint stores, open-loop sources) then follows key
-// ownership: an operation on key k issued from DC d runs on shard
-// `home_shard(d, k)`, whose coordinator pool is that shard's own node list.
-// Replicas of one key may live on *other* shards of the same DC — those
-// write fan-out legs are intra-DC cross-shard events, which is why the
-// conservative lookahead must also respect the intra-DC latency floor when
-// any S_d > 1.
-//
-// With every S_d == 1 all of this degenerates to the PR 8 per-DC map:
-// shard_base(d) == d, node_shard(n) == dc_of(n), home_shard(d, k) == d —
-// byte-identical behavior by construction.
+// K == 1 is the unsplit layout: every DC lives on shard 0, and DC d's
+// coordinator lane is nodes_in_dc(d) in that order. K > 1 must be a multiple
+// of the DC count: each DC d owns S = K / dc_count contiguous shard ids
+// starting at d * S, its nodes are dealt round-robin across them, and the
+// token space is cut into S equal ranges (TokenRing::range_of) so every key
+// has exactly one home shard per DC. All per-shard cluster and workload
+// state (RNG lanes, slot pools, counters, hint stores, open-loop sources)
+// then follows key ownership: an operation on key k issued from DC d runs on
+// shard `home_shard(d, k)`, whose coordinator lane is the nodes of d that
+// shard owns. Replicas of one key may live on *other* shards of the same DC
+// — those write fan-out legs are intra-DC cross-shard events, which is why
+// the conservative lookahead (lookahead() below) also respects the intra-DC
+// latency floors once S > 1.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "cluster/token_ring.h"
 #include "common/check.h"
-#include "common/small_vec.h"
+#include "common/time_types.h"
+#include "net/latency_model.h"
 #include "net/topology.h"
+#include "sim/shard.h"
 
 namespace harmony::cluster {
 
 class ShardMap {
  public:
-  /// Build the map for `shard_count` total shards over `topo`. `plan` is the
-  /// simulation's DC -> shard-count plan (sim::Simulation::shard_plan());
-  /// empty means the legacy one-shard-per-DC layout, which then requires
-  /// shard_count == dc_count. Every DC needs at least as many nodes as
-  /// shards (each shard must own a coordinator candidate).
-  void build(const net::Topology& topo, const std::vector<std::uint32_t>& plan,
-             std::uint32_t shard_count) {
-    const std::size_t dcs = topo.dc_count();
-    shard_base_.clear();
-    dc_shards_.clear();
-    if (plan.empty()) {
-      HARMONY_CHECK_MSG(shard_count == dcs,
-                        "without a shard plan, sharded cluster execution "
-                        "requires exactly one shard per DC");
-      for (std::size_t d = 0; d < dcs; ++d) dc_shards_.push_back(1);
-    } else {
-      HARMONY_CHECK_MSG(plan.size() == dcs,
-                        "shard plan must have one entry per DC");
-      for (const std::uint32_t s : plan) dc_shards_.push_back(s);
-    }
-    std::uint32_t base = 0;
-    shard_dc_.assign(shard_count, 0);
-    for (std::size_t d = 0; d < dcs; ++d) {
-      shard_base_.push_back(base);
-      HARMONY_CHECK_MSG(dc_shards_[d] <= topo.nodes_in_dc(d).size(),
+  /// A DC's contiguous shard id range [first, first + count).
+  struct Range {
+    std::uint32_t first = 0;
+    std::uint32_t count = 1;
+  };
+
+  /// Lay `shard_count` shards over `topo`: 1 (every DC on shard 0) or a
+  /// multiple of the DC count (S = shard_count / dc_count per DC). Every DC
+  /// needs at least S nodes (each shard must own a coordinator candidate).
+  void build(const net::Topology& topo, std::uint32_t shard_count) {
+    const auto dcs = static_cast<std::uint32_t>(topo.dc_count());
+    HARMONY_CHECK_MSG(shard_count == 1 || shard_count % dcs == 0,
+                      "the shard count must be 1 or a multiple of the DC "
+                      "count (the same number of key-range shards per DC)");
+    per_dc_ = shard_count == 1 ? 1 : shard_count / dcs;
+    dc_stride_ = shard_count == 1 ? 0 : per_dc_;
+    // Nodes deal round-robin over their DC's shard range, in nodes_in_dc
+    // order — deterministic, balanced, and with S == 1 the whole DC.
+    node_shard_.assign(topo.node_count(), 0);
+    lanes_.assign(static_cast<std::size_t>(dcs) * per_dc_, {});
+    for (net::DcId d = 0; d < dcs; ++d) {
+      const auto& nodes = topo.nodes_in_dc(d);
+      HARMONY_CHECK_MSG(per_dc_ <= nodes.size(),
                         "a DC cannot split into more shards than it has "
                         "nodes (every shard needs a coordinator)");
-      for (std::uint32_t s = 0; s < dc_shards_[d]; ++s) {
-        shard_dc_[base + s] = static_cast<net::DcId>(d);
-      }
-      base += dc_shards_[d];
-    }
-    HARMONY_CHECK_MSG(base == shard_count,
-                      "shard plan total must equal the shard count");
-
-    // Nodes deal round-robin over their DC's shard range, in nodes_in_dc
-    // order — deterministic, balanced, and with S_d == 1 exactly the PR 8
-    // "shard d owns DC d" layout.
-    node_shard_.assign(topo.node_count(), 0);
-    shard_nodes_.assign(shard_count, {});
-    for (std::size_t d = 0; d < dcs; ++d) {
-      const auto& nodes = topo.nodes_in_dc(d);
       for (std::size_t i = 0; i < nodes.size(); ++i) {
-        const auto s = static_cast<std::uint32_t>(
-            shard_base_[d] + i % dc_shards_[d]);
-        node_shard_[nodes[i]] = static_cast<std::uint8_t>(s);
-        shard_nodes_[s].push_back(nodes[i]);
+        const auto k = static_cast<std::uint32_t>(i % per_dc_);
+        node_shard_[nodes[i]] =
+            static_cast<std::uint8_t>(dc_range(d).first + k);
+        lanes_[d * per_dc_ + k].push_back(nodes[i]);
       }
     }
   }
 
-  /// First shard id of DC `d`'s contiguous range.
-  std::uint32_t shard_base(net::DcId d) const { return shard_base_[d]; }
-  /// Number of key-range shards DC `d` splits into (S_d).
-  std::uint32_t shards_in_dc(net::DcId d) const { return dc_shards_[d]; }
-  /// The DC a shard belongs to.
-  net::DcId dc_of_shard(std::uint32_t s) const { return shard_dc_[s]; }
+  /// The conservative lookahead of a `shard_count`-shard layout over
+  /// `dc_count` DCs: the minimum latency floor over every hop class that can
+  /// cross shards. Cross-DC hops do once DCs sit on different shards, intra-DC
+  /// (same-rack, same-DC) hops once a DC splits; loopback never does. With
+  /// one shard nothing crosses: sim::ShardSet::kNoLookahead.
+  static SimDuration lookahead(const net::TieredLatencyModel::Params& lat,
+                               std::size_t dc_count,
+                               std::uint32_t shard_count) {
+    SimDuration floor = sim::ShardSet::kNoLookahead;
+    if (shard_count == 1) return floor;
+    if (dc_count > 1) floor = lat.cross_dc.floor;
+    if (shard_count > dc_count) {
+      floor = std::min({floor, lat.same_rack.floor, lat.same_dc.floor});
+    }
+    return floor;
+  }
+
+  /// Key-range shards per DC (S; 1 for the unsplit layout).
+  std::uint32_t shards_per_dc() const { return per_dc_; }
+  /// DC `d`'s shard range.
+  Range dc_range(net::DcId d) const { return {d * dc_stride_, per_dc_}; }
   /// The shard owning a node's replica state.
   std::uint8_t node_shard(net::NodeId n) const { return node_shard_[n]; }
-  /// True when any DC splits past one shard (intra-DC cross-shard hops
-  /// exist, so the lookahead must respect the intra-DC latency floor too).
-  bool multi_shard_dc() const {
-    for (const std::uint32_t s : dc_shards_) {
-      if (s > 1) return true;
-    }
-    return false;
-  }
-  /// Coordinator candidates of one shard (nodes_in_dc order).
-  const std::vector<net::NodeId>& nodes_of_shard(std::uint32_t s) const {
-    return shard_nodes_[s];
-  }
 
   /// The shard owning key `key`'s range within DC `dc` — where an operation
-  /// on that key issued from that DC homes. S_d == 1 short-circuits before
-  /// hashing, so the legacy layout never pays token_for.
+  /// on that key issued from that DC homes. S == 1 short-circuits before
+  /// hashing, so an unsplit DC never pays token_for.
   std::uint32_t home_shard(net::DcId dc, Key key) const {
-    const std::uint32_t s = dc_shards_[dc];
-    if (s == 1) return shard_base_[dc];
-    return shard_base_[dc] + TokenRing::range_of(TokenRing::token_for(key), s);
+    const std::uint32_t first = dc_range(dc).first;
+    if (per_dc_ == 1) return first;
+    return first + TokenRing::range_of(TokenRing::token_for(key), per_dc_);
+  }
+
+  /// Admission bucket of a request from DC `dc` executing on `shard` (which
+  /// must be one of the DC's shards): one bucket per DC with one shard, one
+  /// per shard otherwise — dc_count * S buckets in all.
+  std::uint32_t admission_bucket(net::DcId dc, std::uint32_t shard) const {
+    const std::uint32_t k = shard - dc_range(dc).first;
+    HARMONY_CHECK_MSG(k < per_dc_,
+                      "a request must execute on a shard of its client's DC");
+    return dc * per_dc_ + k;
+  }
+  std::uint32_t admission_buckets() const {
+    return static_cast<std::uint32_t>(lanes_.size());
+  }
+  /// Coordinator candidates for a request from DC `dc` executing on
+  /// `shard`: the DC's nodes that shard owns, in nodes_in_dc order.
+  const std::vector<net::NodeId>& coordinators(net::DcId dc,
+                                               std::uint32_t shard) const {
+    return lanes_[admission_bucket(dc, shard)];
   }
 
  private:
-  SmallVec<std::uint32_t, kMaxDcs> shard_base_;
-  SmallVec<std::uint32_t, kMaxDcs> dc_shards_;
-  std::vector<net::DcId> shard_dc_;
+  std::uint32_t per_dc_ = 1;
+  std::uint32_t dc_stride_ = 0;  ///< first shard of DC d is d * dc_stride_
   std::vector<std::uint8_t> node_shard_;
-  std::vector<std::vector<net::NodeId>> shard_nodes_;
+  /// (DC, shard) coordinator lanes, DC-major: lane d * S + k holds DC d's
+  /// nodes on its k-th shard.
+  std::vector<std::vector<net::NodeId>> lanes_;
 };
 
 }  // namespace harmony::cluster

@@ -1,10 +1,11 @@
 // Sharded parallel execution for one Simulation.
 //
-// A Simulation can be partitioned into K event shards (the cluster layer maps
-// one datacenter to one shard). Each shard owns a full two-lane EventQueue, a
-// clock, and everything the handlers it runs will touch; shards only interact
-// through *scheduled events* whose network delay is at least `lookahead` (the
-// minimum cross-DC link latency). That bound is the classic conservative-
+// A Simulation can be partitioned into K event shards (the cluster layer lays
+// DCs and key ranges over them: cluster/shard_map.h). Each shard owns a full
+// two-lane EventQueue, a clock, and everything the handlers it runs will
+// touch; shards only interact through *scheduled events* whose network delay
+// is at least `lookahead` (the minimum latency floor of any hop that crosses
+// shards). That bound is the classic conservative-
 // simulation guarantee (Chandy–Misra–Bryant): while every shard's clock sits
 // inside the window [T, T + lookahead), no shard can receive a new event
 // dated inside that window, so all K shards may run the window concurrently

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -54,9 +53,10 @@ class Simulation {
   /// Replace the default one-shard set with `count` event shards run by
   /// `num_threads` workers (1 = merged-serial reference order; >1 must and
   /// does reproduce it bit for bit). `lookahead` is the minimum cross-shard
-  /// event delay the schedule sites guarantee (the cluster layer derives it
-  /// from the minimum cross-DC link latency). Call before anything is
-  /// scheduled; closures never cross shards.
+  /// event delay the schedule sites guarantee: the cluster layer derives it
+  /// as the minimum latency floor over every hop class that can cross shards
+  /// (cluster::ShardMap::lookahead). Call before anything is scheduled;
+  /// closures never cross shards.
   void configure_shards(std::uint32_t count, SimDuration lookahead,
                         unsigned num_threads,
                         std::uint32_t mailbox_capacity = kDefaultMailboxCapacity) {
@@ -66,34 +66,7 @@ class Simulation {
     // scheduled yet); the run loop only reads through the pointer.
     shards_ = std::make_unique<ShardSet>(*this, count, lookahead, num_threads,
                                          mailbox_capacity);
-    shard_plan_.clear();
   }
-
-  /// Grouped variant: one entry per shard *group* (the cluster layer passes
-  /// one group per DC), each splitting into that many key-range shards. The
-  /// total shard count is the sum; group g's shards are the contiguous id
-  /// range [sum(plan[0..g)), sum(plan[0..g])). The plan is recorded and
-  /// exposed via shard_plan() so the cluster layer can derive key-range →
-  /// shard ownership from the same source of truth. `lookahead` must be the
-  /// minimum cross-shard delay across *all* shard pairs — with any group
-  /// split past 1 that includes intra-group (intra-DC) hops, so the caller
-  /// floors it at the intra-DC latency floor too, not just cross-DC.
-  void configure_shards(const std::vector<std::uint32_t>& group_shards,
-                        SimDuration lookahead, unsigned num_threads,
-                        std::uint32_t mailbox_capacity = kDefaultMailboxCapacity) {
-    std::uint32_t total = 0;
-    for (const std::uint32_t s : group_shards) {
-      HARMONY_CHECK_MSG(s >= 1, "every shard group needs >= 1 shard");
-      total += s;
-    }
-    configure_shards(total, lookahead, num_threads, mailbox_capacity);
-    shard_plan_ = group_shards;
-  }
-
-  /// The per-group shard counts passed to the grouped configure_shards
-  /// overload; empty for the default set and for the flat overload (where
-  /// every group implicitly has exactly one shard).
-  const std::vector<std::uint32_t>& shard_plan() const { return shard_plan_; }
 
   std::uint32_t shard_count() const { return shards_->count(); }
   /// ShardSet::kNoLookahead for the default one-shard set.
@@ -211,7 +184,6 @@ class Simulation {
   std::uint32_t setup_shard_ = 0;
   EventDispatchFn dispatchers_[kEventDomains] = {};
   std::unique_ptr<ShardSet> shards_;
-  std::vector<std::uint32_t> shard_plan_;
 };
 
 /// Repeating timer helper: schedules fn every `period` until cancelled or the

@@ -56,9 +56,9 @@ class Client {
  public:
   /// `reroute_on_dc_outage` / `shed_retry_limit` mirror the WorkloadSpec
   /// resilience knobs (the runner forwards them). `shard` is the event shard
-  /// the client's whole closed loop runs on (sharded runs; the runner homes
-  /// each client on one key-range shard of its DC — under the legacy per-DC
-  /// plan that is just the home DC's shard id). Ignored unsharded.
+  /// the client's whole closed loop runs on: the runner homes each client
+  /// on one key-range shard of its DC (cluster::ShardMap::dc_range; 0 with
+  /// one shard).
   Client(ClientEnv& env, net::DcId home_dc, double target_rate_per_s, Rng rng,
          bool reroute_on_dc_outage = false, int shed_retry_limit = 8,
          std::uint8_t shard = 0);
@@ -68,7 +68,7 @@ class Client {
   void start();
 
   net::DcId home_dc() const { return home_; }
-  /// The event shard this client's loop runs on (0 unsharded).
+  /// The event shard this client's loop runs on (0 with one shard).
   std::uint8_t shard() const { return shard_; }
   std::uint64_t ops_issued() const { return issued_; }
   /// Operations routed to a non-home DC because home had no alive node.
@@ -97,7 +97,7 @@ class Client {
   double target_rate_;
   Rng rng_;
   /// Event shard the client's issue loop runs on (ctor-assigned by the
-  /// runner: one key-range shard of the home DC; 0 unsharded).
+  /// runner: one key-range shard of the home DC; 0 with one shard).
   std::uint8_t shard_ = 0;
   SimTime last_issue_ = 0;
   /// Rate-paced clients: the op's *intended* issue time on the arrival grid.

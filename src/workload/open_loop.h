@@ -73,10 +73,11 @@ class OpenLoopSource {
   /// key counter — identical keys for any shard-thread count.
   /// `keys` is this source's private request distribution (clone per source);
   /// `users` is copied (the copy shares the already-computed zeta constants).
-  /// `shard` is the event shard the source's whole loop runs on — under
-  /// key-range sharding one source exists per shard of each hosting DC, and
-  /// draw_op() keeps only keys that shard owns (rejection sampling for
-  /// distribution draws, lane skip-scan for inserts). Ignored unsharded.
+  /// `shard` is the event shard the source's whole loop runs on — one
+  /// source exists per shard of each hosting DC (one in all with one shard),
+  /// and draw_op() keeps only keys that shard owns (rejection sampling for
+  /// distribution draws, lane skip-scan for inserts; with one shard per DC
+  /// every key is owned).
   OpenLoopSource(ClientEnv& env, net::DcId dc, const WorkloadSpec& spec,
                  double rate_per_s, std::uint64_t insert_lane,
                  std::uint64_t insert_stride, Rng rng,
@@ -91,7 +92,7 @@ class OpenLoopSource {
   void set_measuring(bool on) { measuring_ = on; }
 
   net::DcId dc() const { return dc_; }
-  /// The event shard this source's loop runs on (0 unsharded).
+  /// The event shard this source's loop runs on (0 with one shard).
   std::uint8_t shard() const { return shard_; }
   bool drained() const {
     return gen_done_ && in_flight_ == 0 && queue_size_ == 0;

@@ -28,12 +28,6 @@ class Runner final : public ClientEnv {
         monitor_(cfg.monitor),
         op_rng_(sim_.fork_rng(0x0FAB5EED)),
         request_dist_(cfg.workload.request_dist.build(cfg.workload.record_count)) {
-    // The remaining cross-shard restriction; RunConfig::num_shard_threads
-    // documents the full list of sharded semantic deltas.
-    HARMONY_CHECK_MSG(sim_.shard_count() == 1 ||
-                          !cfg_.workload.reroute_on_dc_outage,
-                      "DC re-routing sends requests to a foreign shard's "
-                      "coordinator; not supported under shard_count > 1");
     monitor_.attach(cluster_, /*client_home_dc=*/0);
     policy::PolicyInit init;
     init.rf = cfg_.cluster.rf;
@@ -56,7 +50,7 @@ class Runner final : public ClientEnv {
       // closed loop — and every key it touches — lives.
       for (std::size_t d = 0; d < cfg_.cluster.dc_count; ++d) {
         if (!hosts_clients(d)) continue;
-        const LaneRange lanes = lanes_of(d);
+        const auto lanes = lanes_of(d);
         for (int i = 0; i < cfg_.workload.clients_per_dc; ++i) {
           const auto shard = static_cast<std::uint8_t>(
               lanes.first + static_cast<std::uint32_t>(i) % lanes.count);
@@ -251,9 +245,9 @@ class Runner final : public ClientEnv {
 
   /// Per-event-shard workload state ("lane"): everything a client callback
   /// mutates lives here, indexed by the executing shard, so workers never
-  /// share a cache line let alone a counter. A serial run has one lane that
-  /// serves every DC; under the per-DC shard plan lane i is exactly DC i;
-  /// under key-range sharding each DC owns a contiguous lane range. Padded
+  /// share a cache line let alone a counter. A one-shard run has one lane
+  /// that serves every DC; otherwise each DC owns a contiguous lane range
+  /// (ShardMap::dc_range), one lane per DC when shards_per_dc == 1. Padded
   /// to a line for the adjacent-element case.
   struct alignas(64) LaneState {
     Rng op_rng;
@@ -285,13 +279,6 @@ class Runner final : public ClientEnv {
     std::map<int, std::uint64_t> read_level_usage;
   };
 
-  /// The contiguous lane (event shard) range DC `d`'s workload runs on: its
-  /// key-range shards when sharded, the one lane 0 otherwise.
-  struct LaneRange {
-    std::uint32_t first = 0;
-    std::uint32_t count = 1;
-  };
-
   /// Every configuration check that needs no simulation state runs here, in
   /// the member-init list, before anything is built or preloaded.
   static const RunConfig& validated(const RunConfig& cfg) {
@@ -303,7 +290,37 @@ class Runner final : public ClientEnv {
         !cfg.workload.open_loop.enabled ||
             cfg.warmup < cfg.workload.open_loop.duration,
         "open-loop warmup must end before generation stops");
+    if (cfg.num_shard_threads > 0) {
+      HARMONY_CHECK_MSG(cfg.shards_per_dc >= 1,
+                        "shards_per_dc must be >= 1 when num_shard_threads > 0");
+      HARMONY_CHECK_MSG(
+          cfg.cluster.dc_count * cfg.shards_per_dc <= 255,
+          "dc_count * shards_per_dc must be <= 255 (event shard ids are one "
+          "byte)");
+      const std::uint32_t shards = shard_count(cfg);
+      // The remaining cross-shard restriction; RunConfig::num_shard_threads
+      // documents the full list of sharded semantic deltas.
+      HARMONY_CHECK_MSG(shards == 1 || !cfg.workload.reroute_on_dc_outage,
+                        "workload.reroute_on_dc_outage sends requests to a "
+                        "foreign shard's coordinator; it needs "
+                        "dc_count * shards_per_dc == 1 when num_shard_threads "
+                        "> 0");
+      HARMONY_CHECK_MSG(
+          cluster::ShardMap::lookahead(cfg.cluster.latency,
+                                       cfg.cluster.dc_count, shards) > 0,
+          "sharded runs take their conservative lookahead from the latency "
+          "floors of every hop class that crosses shards: set "
+          "cluster.latency.cross_dc.floor > 0 with several DCs, and "
+          "same_rack/same_dc floors > 0 with shards_per_dc > 1");
+    }
     return cfg;
+  }
+
+  /// Event shards of a run: one unless num_shard_threads > 0, then
+  /// shards_per_dc per DC.
+  static std::uint32_t shard_count(const RunConfig& cfg) {
+    if (cfg.num_shard_threads == 0) return 1;
+    return static_cast<std::uint32_t>(cfg.cluster.dc_count * cfg.shards_per_dc);
   }
 
   /// Sharded slot pools never grow mid-window, so their reserve must cover
@@ -328,26 +345,11 @@ class Runner final : public ClientEnv {
   static sim::Simulation& shard_configured(sim::Simulation& sim,
                                            const RunConfig& cfg) {
     if (cfg.num_shard_threads > 0) {
-      const auto& lat = cfg.cluster.latency;
-      SimDuration lookahead = lat.cross_dc.floor;
-      HARMONY_CHECK_MSG(lookahead > 0,
-                        "sharded runs derive their conservative lookahead "
-                        "from cluster.latency.cross_dc.floor; set it > 0");
-      const std::uint32_t splits = std::max(1u, cfg.shards_per_dc);
-      if (splits > 1) {
-        // Splitting a DC makes write fan-out legs intra-DC cross-shard
-        // events, so the lookahead must also respect the intra-DC floors
-        // (loopback never crosses shards: src == dst node => same shard).
-        HARMONY_CHECK_MSG(
-            lat.same_rack.floor > 0 && lat.same_dc.floor > 0,
-            "key-range sharding (shards_per_dc > 1) needs positive "
-            "same_rack/same_dc latency floors: intra-DC hops cross shards "
-            "and their floor bounds the conservative lookahead");
-        lookahead = std::min(
-            lookahead, std::min(lat.same_rack.floor, lat.same_dc.floor));
-      }
+      const std::uint32_t shards = shard_count(cfg);
       sim.configure_shards(
-          std::vector<std::uint32_t>(cfg.cluster.dc_count, splits), lookahead,
+          shards,
+          cluster::ShardMap::lookahead(cfg.cluster.latency,
+                                       cfg.cluster.dc_count, shards),
           cfg.num_shard_threads);
     }
     return sim;
@@ -358,11 +360,10 @@ class Runner final : public ClientEnv {
            dc == static_cast<std::size_t>(cfg_.workload.client_dc);
   }
 
-  LaneRange lanes_of(std::size_t d) const {
-    if (sim_.shard_count() == 1) return {};
-    const auto dc = static_cast<net::DcId>(d);
-    const cluster::ShardMap& map = cluster_.shard_map();
-    return {map.shard_base(dc), map.shards_in_dc(dc)};
+  /// The contiguous lane (event shard) range DC `d`'s workload runs on: its
+  /// key-range shards, or lane 0 with one shard.
+  cluster::ShardMap::Range lanes_of(std::size_t d) const {
+    return cluster_.shard_map().dc_range(static_cast<net::DcId>(d));
   }
 
   void init_lanes() {
@@ -370,7 +371,7 @@ class Runner final : public ClientEnv {
     lane_ = std::vector<LaneState>(n);
     std::vector<bool> hosting(n, false);
     for (std::size_t d = 0; d < cfg_.cluster.dc_count; ++d) {
-      const LaneRange lanes = lanes_of(d);
+      const auto lanes = lanes_of(d);
       for (std::uint32_t s = lanes.first; s < lanes.first + lanes.count; ++s) {
         lane_[s].dc = static_cast<net::DcId>(d);
         if (hosts_clients(d)) hosting[s] = true;
@@ -443,7 +444,7 @@ class Runner final : public ClientEnv {
     const ScrambledZipfianKeys users(ol.user_count, ol.user_zipf_theta);
     std::uint64_t slot = 0;
     for (std::size_t d = 0; d < dcs; ++d) {
-      const LaneRange lanes = lanes_of(d);
+      const auto lanes = lanes_of(d);
       for (std::uint32_t k = 0; k < lanes.count; ++k, ++slot) {
         if (!hosts_clients(d)) continue;
         const std::uint32_t shard = lanes.first + k;

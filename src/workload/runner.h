@@ -44,12 +44,14 @@ struct RunConfig {
   /// docs/INVARIANTS.md "Cross-shard determinism"): > 0 partitions the
   /// simulation into shards_per_dc event shards per DC driven by this many
   /// worker threads. Any thread count reproduces the same (time, seq)
-  /// merge, and `1` runs it merged-serial on the calling thread. Requires
-  /// cluster.latency.cross_dc.floor > 0 — and, with shards_per_dc > 1, also
-  /// positive same_rack/same_dc floors: the conservative lookahead is the
-  /// minimum over every floor a cross-shard hop can ride.
+  /// merge, and `1` runs it merged-serial on the calling thread. The
+  /// conservative lookahead is the minimum latency floor over every hop
+  /// class that can cross shards (cluster::ShardMap::lookahead), so it must
+  /// be positive: cluster.latency.cross_dc.floor > 0 with several DCs, and
+  /// same_rack/same_dc floors > 0 with shards_per_dc > 1.
   ///
-  /// Sharded semantic deltas (each deterministic across thread counts):
+  /// Semantic deltas with more than one shard (each deterministic across
+  /// thread counts; a single-DC run with shards_per_dc == 1 has none):
   ///   * the monitor attaches and policy retuning ticks run, but both are
   ///     fed from per-shard logs replayed in (time, seq) order at window
   ///     barriers / fenced instants — op timestamps are exact, ticks land
@@ -60,20 +62,21 @@ struct RunConfig {
   ///   * per-read ReadResult::stale stays false (the deferred oracle judges
   ///     at barriers); staleness counters come from the oracle's whole-run
   ///     aggregates;
-  ///   * client DC re-routing is rejected (coordinators must stay in the
-  ///     request's shard).
+  ///   * workload.reroute_on_dc_outage is rejected (coordinators must stay
+  ///     in the request's shard).
   /// 0 (default) = the simulation's default one-shard set: one queue, no
   /// lookahead windows, none of the deltas above.
   unsigned num_shard_threads = 0;
 
   /// Key-range shards per DC (sharded runs only; ignored when
-  /// num_shard_threads == 0). 1 (default) keeps the legacy one-shard-per-DC
-  /// layout. With S > 1 every DC's token space splits into S contiguous
+  /// num_shard_threads == 0). 1 (default) gives each DC one shard. With
+  /// S > 1 every DC's token space splits into S contiguous
   /// ranges (cluster/shard_map.h): each shard owns the nodes dealt to it,
   /// the keys hashing into its range, and a full workload lane (clients or
   /// an open-loop source, RNG fork, key distribution clone, insert lane) —
   /// that is how a single-DC topology scales past one worker thread.
-  /// Requires every DC to have >= shards_per_dc nodes.
+  /// Must be >= 1 with dc_count * shards_per_dc <= 255, and every DC needs
+  /// >= shards_per_dc nodes.
   unsigned shards_per_dc = 1;
 
   /// Scheduled failure injection: kill/revive nodes mid-run (availability
@@ -139,9 +142,10 @@ struct RunResult {
   std::uint64_t unavailable = 0;
   std::uint64_t read_repairs = 0;
   std::uint64_t sim_events = 0;
-  /// Cross-shard mailbox slab overflows (sharded runs; 0 serial). Nonzero
-  /// means cluster.sharded_slot_reserve-style tuning of
-  /// Simulation::configure_shards mailbox_capacity may help throughput.
+  /// Cross-shard mailbox slab overflows (sharded runs; 0 with one shard or
+  /// one thread). Nonzero means cross-shard traffic outgrew the fixed
+  /// per-pair mailbox slab within a window and spilled into growable
+  /// overflow storage; the run stays deterministic, only slower.
   std::uint64_t mailbox_spills = 0;
   double total_wall_s = 0;  ///< including warmup
 

@@ -957,13 +957,13 @@ TEST(RequestPathDiff, ShardedTinyMailboxBackpressureIsDeterministic) {
 /// Options for one key-range-sharded scenario (run_key_range_schedule).
 struct KeyRangeOpts {
   unsigned threads = 1;
-  std::uint32_t shards = 4;  ///< key-range shards inside DC 0
-  bool second_dc = false;    ///< add a single-shard DC 1 (mixed plan)
+  std::uint32_t shards = 4;  ///< key-range shards inside every DC
+  bool second_dc = false;    ///< add a DC 1, split the same way
   bool anti_entropy = false; ///< fenced per-shard sweeps (lifted restriction)
   bool faults = false;       ///< fenced kill/revive inside the split DC
 };
 
-/// One scenario with DC 0 split into `shards` key-range shards. Traffic is
+/// One scenario with every DC split into `shards` key-range shards. Traffic is
 /// routed the way the workload layer does it: every operation is issued from
 /// home_shard(dc, key), so replicas of a key routinely live on *other*
 /// shards of the same DC and the write fan-out crosses shards intra-DC. The
@@ -993,9 +993,9 @@ ClusterRunResult run_key_range_schedule(std::uint64_t seed,
   if (setup.chance(0.3)) cfg.request_timeout = 30 * kMillisecond;
   if (opts.anti_entropy) cfg.anti_entropy_period = 50 * kMillisecond;
 
-  std::vector<std::uint32_t> plan{opts.shards};
-  if (opts.second_dc) plan.push_back(1);  // mixed plan: split DC + legacy DC
-  sim.configure_shards(plan, lookahead, opts.threads);
+  sim.configure_shards(
+      static_cast<std::uint32_t>(cfg.dc_count) * opts.shards, lookahead,
+      opts.threads);
   cluster::Cluster c(sim, cfg);
 
   DiffSink sink;
@@ -1176,17 +1176,17 @@ TEST(RequestPathDiff, KeyRangeShardedAntiEntropyByteIdentical) {
   }
 }
 
-TEST(RequestPathDiff, KeyRangeShardedMixedPlanByteIdentical) {
-  // Mixed plan: DC 0 splits into 4 shards, DC 1 keeps the legacy one-shard
-  // layout. Cross-DC replication legs and intra-DC cross-shard legs coexist
-  // under the intra-DC lookahead floor.
+TEST(RequestPathDiff, KeyRangeShardedTwoDcByteIdentical) {
+  // Two DCs, each split into 4 key-range shards: cross-DC replication legs
+  // and intra-DC cross-shard legs coexist under the intra-DC lookahead
+  // floor.
   for (std::uint64_t i = 0; i < 3; ++i) {
     KeyRangeOpts opts;
     opts.second_dc = true;
     opts.anti_entropy = (i % 2) == 1;
     assert_key_range_thread_invariance(0x3D1A6ULL + i, opts);
     ASSERT_FALSE(::testing::Test::HasFailure())
-        << "mixed-plan diff diverged at seed " << 0x3D1A6ULL + i;
+        << "two-DC key-range diff diverged at seed " << 0x3D1A6ULL + i;
   }
 }
 

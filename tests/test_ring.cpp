@@ -204,43 +204,36 @@ TEST(TokenRing, RangeOfOwnsBoundaryTokens) {
   }
 }
 
-TEST(ShardMap, SingleShardPlanDegeneratesToPerDcLayout) {
+TEST(ShardMap, OneShardPutsEveryDcOnShardZero) {
   const auto topo = net::Topology::balanced(12, 3);
-  ShardMap legacy, planned;
-  legacy.build(topo, {}, 3);                // empty plan: PR 8 layout
-  planned.build(topo, {1, 1, 1}, 3);        // explicit all-1s plan
-  EXPECT_FALSE(legacy.multi_shard_dc());
-  EXPECT_FALSE(planned.multi_shard_dc());
+  ShardMap map;
+  map.build(topo, 1);
+  EXPECT_EQ(map.shards_per_dc(), 1u);
+  for (net::NodeId n = 0; n < 12; ++n) EXPECT_EQ(map.node_shard(n), 0u);
   for (net::DcId d = 0; d < 3; ++d) {
-    EXPECT_EQ(legacy.shard_base(d), d);
-    EXPECT_EQ(planned.shard_base(d), d);
-    EXPECT_EQ(legacy.shards_in_dc(d), 1u);
+    EXPECT_EQ(map.dc_range(d).first, 0u);
+    EXPECT_EQ(map.dc_range(d).count, 1u);
+    // The coordinator lane of (d, 0) is the whole DC in nodes_in_dc order,
+    // and each DC keeps its own admission bucket.
+    EXPECT_EQ(map.coordinators(d, 0), topo.nodes_in_dc(d));
+    EXPECT_EQ(map.admission_bucket(d, 0), d);
+    for (Key k = 0; k < 500; ++k) EXPECT_EQ(map.home_shard(d, k), 0u);
   }
-  for (net::NodeId n = 0; n < 12; ++n) {
-    EXPECT_EQ(legacy.node_shard(n), topo.dc_of(n));
-    EXPECT_EQ(planned.node_shard(n), topo.dc_of(n));
-  }
-  for (Key k = 0; k < 500; ++k) {
-    for (net::DcId d = 0; d < 3; ++d) {
-      EXPECT_EQ(legacy.home_shard(d, k), d);
-      EXPECT_EQ(planned.home_shard(d, k), d);
-    }
-  }
+  EXPECT_EQ(map.admission_buckets(), 3u);
 }
 
 TEST(ShardMap, KeyRangeOwnershipPartitionsTheDc) {
   const auto topo = net::Topology::balanced(8, 1);
   ShardMap map;
-  map.build(topo, {4}, 4);
-  EXPECT_TRUE(map.multi_shard_dc());
-  EXPECT_EQ(map.shards_in_dc(0), 4u);
+  map.build(topo, 4);
+  EXPECT_EQ(map.shards_per_dc(), 4u);
   // Nodes deal round-robin over the DC's shard range; every shard gets a
   // coordinator candidate.
   std::size_t owned = 0;
   for (std::uint32_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(map.dc_of_shard(s), 0);
-    EXPECT_FALSE(map.nodes_of_shard(s).empty());
-    owned += map.nodes_of_shard(s).size();
+    EXPECT_EQ(map.admission_bucket(0, s), s);
+    EXPECT_FALSE(map.coordinators(0, s).empty());
+    owned += map.coordinators(0, s).size();
   }
   EXPECT_EQ(owned, 8u);
   for (net::NodeId n = 0; n < 8; ++n) {
@@ -258,32 +251,72 @@ TEST(ShardMap, KeyRangeOwnershipPartitionsTheDc) {
   for (const std::uint64_t n : per_shard) EXPECT_GT(n, 500u);
 }
 
-TEST(ShardMap, MixedPlanKeepsDcRangesContiguous) {
-  const auto topo = net::Topology::balanced(12, 3);
+TEST(ShardMap, UniformSplitKeepsDcRangesContiguous) {
+  const auto topo = net::Topology::balanced(12, 2);
   ShardMap map;
-  map.build(topo, {2, 1, 3}, 6);
-  EXPECT_TRUE(map.multi_shard_dc());
-  EXPECT_EQ(map.shard_base(0), 0u);
-  EXPECT_EQ(map.shard_base(1), 2u);
-  EXPECT_EQ(map.shard_base(2), 3u);
-  const net::DcId expect_dc[6] = {0, 0, 1, 2, 2, 2};
-  for (std::uint32_t s = 0; s < 6; ++s) {
-    EXPECT_EQ(map.dc_of_shard(s), expect_dc[s]) << "shard " << s;
+  map.build(topo, 6);
+  EXPECT_EQ(map.shards_per_dc(), 3u);
+  EXPECT_EQ(map.admission_buckets(), 6u);
+  for (net::DcId d = 0; d < 2; ++d) {
+    EXPECT_EQ(map.dc_range(d).first, 3u * d);
+    EXPECT_EQ(map.dc_range(d).count, 3u);
+    // Each DC's nodes deal round-robin over its own range, in nodes_in_dc
+    // order, and a shard's lane is exactly the nodes it owns.
+    const auto& nodes = topo.nodes_in_dc(d);
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      EXPECT_EQ(map.node_shard(nodes[i]), 3u * d + i % 3);
+    }
+    for (std::uint32_t s = 3u * d; s < 3u * d + 3; ++s) {
+      EXPECT_EQ(map.admission_bucket(d, s), s);
+      ASSERT_EQ(map.coordinators(d, s).size(), 2u);
+      for (const net::NodeId n : map.coordinators(d, s)) {
+        EXPECT_EQ(map.node_shard(n), s);
+      }
+    }
   }
   for (Key k = 0; k < 1000; ++k) {
-    // Single-shard DCs keep the whole key space; split DCs stay inside
-    // their contiguous shard range.
-    EXPECT_EQ(map.home_shard(1, k), 2u);
-    const std::uint32_t s0 = map.home_shard(0, k);
-    EXPECT_GE(s0, 0u);
-    EXPECT_LT(s0, 2u);
-    const std::uint32_t s2 = map.home_shard(2, k);
-    EXPECT_GE(s2, 3u);
-    EXPECT_LT(s2, 6u);
-    // The range index is the same cut everywhere; only the base shifts.
-    EXPECT_EQ(s2 - 3u,
-              TokenRing::range_of(TokenRing::token_for(k), 3));
+    // The range index is the same cut in every DC; only the base shifts.
+    const std::uint32_t r = TokenRing::range_of(TokenRing::token_for(k), 3);
+    EXPECT_EQ(map.home_shard(0, k), r);
+    EXPECT_EQ(map.home_shard(1, k), 3u + r);
   }
+  // A shard of another DC has no lane for this DC.
+  EXPECT_THROW(map.coordinators(0, 3), CheckError);
+}
+
+TEST(ShardMap, RejectsShardCountsThatDoNotSplitEveryDcEvenly) {
+  const auto topo = net::Topology::balanced(12, 3);
+  ShardMap map;
+  EXPECT_THROW(map.build(topo, 2), CheckError);  // fewer shards than DCs
+  EXPECT_THROW(map.build(topo, 4), CheckError);  // not a multiple of 3
+  EXPECT_THROW(map.build(topo, 7), CheckError);
+  map.build(topo, 3);
+  map.build(topo, 12);  // S == 4 == nodes per DC: still one node per shard
+}
+
+TEST(ShardMap, RejectsMoreShardsPerDcThanNodes) {
+  const auto topo = net::Topology::balanced(6, 2);
+  ShardMap map;
+  map.build(topo, 6);
+  EXPECT_THROW(map.build(topo, 8), CheckError);  // S == 4 > 3 nodes per DC
+}
+
+TEST(ShardMap, LookaheadIsTheLowestFloorOfEveryCrossingHopClass) {
+  net::TieredLatencyModel::Params lat;
+  lat.cross_dc.floor = 1000;
+  lat.same_dc.floor = 300;
+  lat.same_rack.floor = 200;
+  lat.loopback.floor = 1;  // never crosses shards
+  // One shard: nothing crosses.
+  EXPECT_EQ(ShardMap::lookahead(lat, 3, 1), sim::ShardSet::kNoLookahead);
+  // One shard per DC: only cross-DC hops cross.
+  EXPECT_EQ(ShardMap::lookahead(lat, 3, 3), 1000);
+  // Split DCs: intra-DC hops cross too.
+  EXPECT_EQ(ShardMap::lookahead(lat, 3, 6), 200);
+  // One split DC has no cross-DC hop at all.
+  lat.same_rack.floor = 2000;
+  lat.same_dc.floor = 3000;
+  EXPECT_EQ(ShardMap::lookahead(lat, 1, 4), 2000);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -371,6 +372,40 @@ TEST(Runner, RejectsClientDcOutOfRange) {
   auto cfg = small_run();
   cfg.workload.client_dc = 2;  // two DCs: ids 0 and 1
   EXPECT_THROW(run_experiment(cfg), CheckError);
+}
+
+/// The message of the CheckError run_experiment(cfg) throws ("" if none).
+std::string rejection(const RunConfig& cfg) {
+  try {
+    run_experiment(cfg);
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Runner, RejectsShardThreadsWithoutShards) {
+  auto cfg = sharded_run(2, 1000);
+  cfg.shards_per_dc = 0;
+  EXPECT_THROW(run_experiment(cfg), CheckError);
+  EXPECT_NE(rejection(cfg).find("shards_per_dc"), std::string::npos)
+      << rejection(cfg);
+}
+
+TEST(Runner, RejectsMoreThan255Shards) {
+  auto cfg = sharded_run(2, 1000);
+  cfg.shards_per_dc = 86;  // 3 DCs x 86 = 258 event shards
+  EXPECT_THROW(run_experiment(cfg), CheckError);
+  EXPECT_NE(rejection(cfg).find("dc_count * shards_per_dc"), std::string::npos)
+      << rejection(cfg);
+}
+
+TEST(Runner, RejectsDcReroutingAcrossShards) {
+  auto cfg = sharded_run(2, 1000);
+  cfg.workload.reroute_on_dc_outage = true;
+  EXPECT_THROW(run_experiment(cfg), CheckError);
+  EXPECT_NE(rejection(cfg).find("reroute_on_dc_outage"), std::string::npos)
+      << rejection(cfg);
 }
 
 TEST(Runner, ShardedTraceCaptureMatchesSerial) {
