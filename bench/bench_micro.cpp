@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/token_ring.h"
@@ -69,6 +70,38 @@ void BM_RingLookupNts(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RingLookupNts);
+
+void BM_ReplicasFor(benchmark::State& state) {
+  // Cluster::replicas_for over a pre-drawn key stream, in the two gated
+  // perfbench shapes. /0 is harmony_ec2's: 20 nodes / 2 DCs / rf 3, plain
+  // zipfian over 250 hot keys. /1 is openloop_2m_users's: 8 nodes / 2 DCs /
+  // rf 3, scrambled zipfian over 1M records, so the key set is far larger
+  // than any per-key cache. An item is one lookup.
+  const bool big = state.range(0) != 0;
+  sim::Simulation sim(42);
+  cluster::ClusterConfig cfg;
+  cfg.node_count = big ? 8 : 20;
+  cfg.dc_count = 2;
+  cfg.rf = 3;
+  const cluster::Cluster c(sim, cfg);
+  Rng rng(1);
+  std::vector<cluster::Key> keys(std::size_t{1} << 20);
+  if (big) {
+    ScrambledZipfianKeys records(1'000'000);
+    for (auto& k : keys) k = records.next(rng);
+  } else {
+    ZipfianKeys hot(250);
+    for (auto& k : keys) k = hot.next(rng);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(c.replicas_for(keys[i]).front());
+    i = (i + 1) & (keys.size() - 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(big ? "1M scrambled" : "250 hot");
+}
+BENCHMARK(BM_ReplicasFor)->Arg(0)->Arg(1);
 
 void BM_EventQueue(benchmark::State& state) {
   for (auto _ : state) {

@@ -90,7 +90,6 @@ Cluster::Cluster(sim::Simulation& sim, ClusterConfig cfg)
     auto st = std::make_unique<ShardState>();
     st->id = s;
     st->rng = sim.fork_rng(0xC1D2E3F4ULL + s);
-    st->replica_cache.resize(kReplicaCacheSize);
     if (deferred_) {
       // Pre-grow the pools: remote shards read pinned write records through
       // get() while the home shard acquires/releases, which is only race-free
@@ -102,13 +101,15 @@ Cluster::Cluster(sim::Simulation& sim, ClusterConfig cfg)
   }
   if (deferred_) sim.set_barrier_hook(&Cluster::barrier_hook, this);
 
-  if (cfg_.use_nts) {
-    const auto split = cfg_.rf_per_dc();
-    for (std::size_t d = 0; d < split.size(); ++d) {
-      HARMONY_CHECK_MSG(
-          static_cast<std::size_t>(split[d]) <=
-              topo_.nodes_in_dc(static_cast<net::DcId>(d)).size(),
-          "NTS rf split exceeds a DC's node count");
+  // Placement, once per arc (token_ring.h): read-only from here on, so
+  // every shard shares it. The walks check rf against the ring and every
+  // NTS per-DC count against its DC.
+  arc_replicas_.resize(ring_.vnode_count());
+  for (std::size_t a = 0; a < arc_replicas_.size(); ++a) {
+    if (cfg_.use_nts) {
+      ring_.arc_replicas_nts(a, rf_per_dc_, arc_replicas_[a]);
+    } else {
+      ring_.arc_replicas_simple(a, cfg_.rf, arc_replicas_[a]);
     }
   }
   nodes_.reserve(cfg_.node_count);
@@ -160,60 +161,18 @@ const Node& Cluster::node(net::NodeId id) const {
   return *nodes_[id];
 }
 
-const ReplicaList& Cluster::replicas_for(Key key) const {
-  // Direct-mapped cache keyed by the key's token hash; the ring walk only
-  // runs on a miss (cold key or index collision). Per shard: placement is
-  // identical everywhere, but sharing one cache would race.
-  ReplicaCacheEntry& e =
-      here().replica_cache[TokenRing::token_for(key) & (kReplicaCacheSize - 1)];
-  if (e.valid && e.key == key) return e.replicas;
-  if (cfg_.use_nts) {
-    ring_.replicas_nts(key, rf_per_dc_, e.replicas);
-  } else {
-    ring_.replicas_simple(key, cfg_.rf, e.replicas);
-  }
-  e.key = key;
-  e.valid = true;
-  return e.replicas;
-}
-
-void Cluster::invalidate_replica_cache() {
-  // Membership changes execute at fenced (merged-serial) instants, so
-  // flushing every shard's cache here is race-free.
-  for (const auto& sp : shards_) {
-    for (ReplicaCacheEntry& e : sp->replica_cache) e.valid = false;
-  }
-}
-
 void Cluster::preload_range(std::uint64_t count, std::uint32_t size) {
   ShardState& st = here();
-  // Count, then fill. Vnode placement is skewed (8 nodes at rf=3 can hold
-  // from a third to nearly twice the even split), so sizing stores from the
-  // even split either rehashes the heaviest ones mid-load or oversizes the
-  // lightest. Instead: place every key once, keeping its replica list; size
-  // each store to its exact final key count (one table allocation per
-  // store, no rehash); then load in key order, replica order. The scratch
-  // (count*rf node ids) is set-up only and freed on return.
-  const std::size_t rf = static_cast<std::size_t>(cfg_.rf);
-  std::vector<net::NodeId> placed(count * rf);
-  std::vector<std::size_t> keys_on(nodes_.size(), 0);
+  // Record k carries the write id the k-th of `count` writes from this
+  // shard would get (seq = ++write_seq * shards + id), so every store holds
+  // it implicitly in its base layer and one pass marks its owners.
+  const std::uint64_t stride = shards_.size();
+  const std::uint64_t seq0 = (st.write_seq + 1) * stride + st.id;
+  for (const auto& n : nodes_) n->store().begin_base(count, seq0, stride, size);
   for (std::uint64_t k = 0; k < count; ++k) {
-    const ReplicaList& replicas = replicas_for(k);
-    HARMONY_CHECK(replicas.size() == rf);
-    std::copy(replicas.begin(), replicas.end(), &placed[k * rf]);
-    for (const net::NodeId r : replicas) ++keys_on[r];
+    for (const net::NodeId r : replicas_for(k)) nodes_[r]->store().own_base(k);
   }
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    ReplicaStore& store = nodes_[n]->store();
-    store.reserve(store.key_count() + keys_on[n]);
-  }
-  for (std::uint64_t k = 0; k < count; ++k) {
-    const std::uint64_t seq = ++st.write_seq * shards_.size() + st.id;
-    const VersionedValue v{Version{0, seq}, size};
-    for (std::size_t i = k * rf; i < (k + 1) * rf; ++i) {
-      nodes_[placed[i]]->load(k, v);
-    }
-  }
+  st.write_seq += count;
 }
 
 // ------------------------------------------------------------ link helpers
@@ -1391,7 +1350,6 @@ void Cluster::kill_node(net::NodeId id) {
   nodes_[id]->set_alive(false);
   alive_[id] = 0;
   --alive_per_dc_[topo_.dc_of(id)];
-  invalidate_replica_cache();
 }
 
 void Cluster::revive_node(net::NodeId id) {
@@ -1400,7 +1358,6 @@ void Cluster::revive_node(net::NodeId id) {
   nodes_[id]->set_alive(true);
   alive_[id] = 1;
   ++alive_per_dc_[topo_.dc_of(id)];
-  invalidate_replica_cache();
   replay_hints(id);
 }
 

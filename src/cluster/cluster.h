@@ -39,10 +39,11 @@
 // same number S of key-range shards over TokenRing token ranges. The cluster
 // routes every typed event to the shard owning the state its handler
 // touches and keeps ALL mutable request-path state per shard (ShardState
-// below): RNG stream, pending-request pools, hint store, replica cache,
-// net/latency stats, counters, anti-entropy dirty set. An operation on key k
-// from DC d executes on ShardMap::home_shard(d, k); replicas of one key may
-// live on *other* shards of the same DC, so write fan-out legs can be
+// below): RNG stream, pending-request pools, hint store, net/latency stats,
+// counters, anti-entropy dirty set. Placement (the per-arc replica table) is
+// immutable after construction and shared by every shard. An operation on
+// key k from DC d executes on ShardMap::home_shard(d, k); replicas of one
+// key may live on *other* shards of the same DC, so write fan-out legs can be
 // intra-DC cross-shard events — the configured lookahead must therefore be a
 // floor on every link class that can cross shards (ShardMap::lookahead; the
 // ctor checks it). With several shards, cross-shard interaction
@@ -283,8 +284,12 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Instantly install `count` keys of `size` bytes on their replicas
-  /// (dataset load; bypasses messaging and the oracle).
+  /// Instantly install keys [0, count) of `size` bytes on their replicas
+  /// (dataset load; bypasses messaging and the oracle). The records become
+  /// each replica store's base layer (replica_store.h): one bit per key per
+  /// node, no table entry, with the version the k-th of `count` writes
+  /// issued now would get. Call once, on a fresh cluster: a store that was
+  /// already preloaded or written to fails a check.
   void preload_range(std::uint64_t count, std::uint32_t size);
 
   /// Sentinel origin: the client is homed in the DC it contacts.
@@ -359,12 +364,13 @@ class Cluster {
   Node& node(net::NodeId id);
   const Node& node(net::NodeId id) const;
 
-  /// Replica set for `key` (placement order). Served from a fixed-size
-  /// direct-mapped cache: placement is static while membership is static, so
-  /// hot keys skip the ring walk entirely. The reference is valid until the
-  /// next replicas_for call (callers on the request path copy the 40-byte
-  /// list into their pending state). Sharded runs keep one cache per shard.
-  const ReplicaList& replicas_for(Key key) const;
+  /// Replica set for `key` (placement order): one read of the per-arc
+  /// placement table the ctor built. Placement never depends on liveness,
+  /// so the table is immutable; every shard shares it, and the reference
+  /// stays valid for the cluster's lifetime.
+  const ReplicaList& replicas_for(Key key) const {
+    return arc_replicas_[ring_.arc_of(key)];
+  }
 
   /// Event shards the cluster routes across: the owning simulation's shard
   /// count (ShardMap lays DCs and key ranges over them).
@@ -578,18 +584,6 @@ class Cluster {
   using WriteHandle = SlotPool<PendingWrite>::Handle;
   using ReadHandle = SlotPool<PendingRead>::Handle;
 
-  // Key -> replica set cache (direct-mapped, power-of-two). Placement depends
-  // only on the ring, so entries stay valid until membership events; kill()/
-  // revive() flush it anyway out of caution. Sized so conflict misses stay
-  // rare for zipfian working sets of tens of thousands of hot keys (~900KB;
-  // a miss is a full ring walk, ~two orders of magnitude dearer).
-  struct ReplicaCacheEntry {
-    Key key = 0;
-    bool valid = false;
-    ReplicaList replicas;
-  };
-  static constexpr std::size_t kReplicaCacheSize = 16384;
-
   /// One staleness-oracle call. With several shards, per-shard logs are
   /// appended in that shard's execution order; the barrier hook K-way-merges
   /// them by (at, seq) — the exact one-shard call order, which is what the
@@ -672,7 +666,6 @@ class Cluster {
     net::NetStats net_stats;
     SlotPool<PendingWrite> pending_writes;
     SlotPool<PendingRead> pending_reads;
-    std::vector<ReplicaCacheEntry> replica_cache;
     std::vector<OracleOp> oracle_log;  ///< several shards only
     std::size_t oracle_pos = 0;        ///< merge cursor into oracle_log
     std::vector<LoggedMonitorOp> monitor_log;  ///< several shards only
@@ -817,6 +810,9 @@ class Cluster {
   ClusterObserver* observer_ = nullptr;
 
   DcCounts rf_per_dc_;    // cfg_.rf_per_dc(), computed once
+  /// Replica set of every ring arc (TokenRing::arc_of), built once by the
+  /// ctor and read-only after: all shards share it.
+  std::vector<ReplicaList> arc_replicas_;
 
   /// Per-shard request-path state; size sim.shard_count() (1 unsharded).
   std::vector<std::unique_ptr<ShardState>> shards_;
@@ -831,8 +827,6 @@ class Cluster {
   std::uint64_t barrier_epoch_ = 0;
   mutable net::NetStats net_stats_merged_;
   mutable std::uint64_t net_stats_epoch_ = 0;  ///< epoch net_stats_merged_ is at
-
-  void invalidate_replica_cache();
 
   /// alive()-flags mirrored out of the Node objects: the request path scans
   /// liveness constantly (coordinator picks, feasibility, contact sets), and

@@ -55,33 +55,53 @@ TokenRing::TokenRing(const net::Topology& topo, int vnodes_per_node,
     }
     next_in_dc_[topo.dc_of(ring_[i].node)][i] = local_idx[i];
   }
-}
 
-std::uint64_t TokenRing::token_for(Key key) { return mix64(key); }
+  // arc_of's buckets: the smallest power of two >= 4 vnodes (at least 4,
+  // so the shift stays below 64), filled by one merge over the sorted ring.
+  unsigned bits = 2;
+  while ((std::size_t{1} << bits) < 4 * n) ++bits;
+  arc_shift_ = 64 - bits;
+  arc_bucket_.resize(std::size_t{1} << bits);
+  std::size_t i = 0;
+  for (std::size_t b = 0; b < arc_bucket_.size(); ++b) {
+    const std::uint64_t lo = static_cast<std::uint64_t>(b) << arc_shift_;
+    while (i < n && ring_[i].token < lo) ++i;
+    const bool last = b + 1 == arc_bucket_.size();
+    const std::uint64_t next_lo = static_cast<std::uint64_t>(b + 1)
+                                  << arc_shift_;
+    arc_bucket_[b] = ArcBucket{
+        i < n ? ring_[i].token : ~std::uint64_t{0},
+        static_cast<std::uint32_t>(i),
+        i + 1 < n && (last || ring_[i + 1].token < next_lo) ? 1u : 0u};
+  }
+}
 
 std::size_t TokenRing::first_at_or_after(std::uint64_t token) const {
-  return first_at_or_after(ring_, token);
-}
-
-std::size_t TokenRing::first_at_or_after(const std::vector<VNode>& ring,
-                                         std::uint64_t token) {
   const auto it = std::lower_bound(
-      ring.begin(), ring.end(), token,
+      ring_.begin(), ring_.end(), token,
       [](const VNode& v, std::uint64_t t) { return v.token < t; });
-  return it == ring.end() ? 0 : static_cast<std::size_t>(it - ring.begin());
+  return it == ring_.end() ? 0 : static_cast<std::size_t>(it - ring_.begin());
 }
 
 std::vector<net::NodeId> TokenRing::replicas_simple(Key key, int rf) const {
   std::vector<net::NodeId> out;
   out.reserve(static_cast<std::size_t>(rf));
-  fill_simple(key, rf, out);
+  fill_simple(first_at_or_after(token_for(key)), rf, out);
   return out;
 }
 
 void TokenRing::replicas_simple(Key key, int rf, ReplicaList& out) const {
   HARMONY_CHECK_MSG(rf <= kMaxReplicas, "rf exceeds kMaxReplicas");
   out.clear();
-  fill_simple(key, rf, out);
+  fill_simple(first_at_or_after(token_for(key)), rf, out);
+}
+
+void TokenRing::arc_replicas_simple(std::size_t arc, int rf,
+                                    ReplicaList& out) const {
+  HARMONY_CHECK(arc < ring_.size());
+  HARMONY_CHECK_MSG(rf <= kMaxReplicas, "rf exceeds kMaxReplicas");
+  out.clear();
+  fill_simple(arc, rf, out);
 }
 
 std::vector<net::NodeId> TokenRing::replicas_nts(
@@ -91,14 +111,25 @@ std::vector<net::NodeId> TokenRing::replicas_nts(
   int total = 0;
   for (const int w : rf_per_dc) total += w;
   out.reserve(static_cast<std::size_t>(total));
-  fill_nts(key, rf_per_dc.data(), rf_per_dc.size(), out);
+  const std::uint64_t t = token_for(key);
+  fill_nts(first_at_or_after(t), t, rf_per_dc.data(), rf_per_dc.size(), out);
   return out;
 }
 
 void TokenRing::replicas_nts(Key key, const DcCounts& rf_per_dc,
                              ReplicaList& out) const {
   out.clear();
-  fill_nts(key, rf_per_dc.begin(), rf_per_dc.size(), out);
+  const std::uint64_t t = token_for(key);
+  fill_nts(first_at_or_after(t), t, rf_per_dc.begin(), rf_per_dc.size(), out);
+}
+
+void TokenRing::arc_replicas_nts(std::size_t arc, const DcCounts& rf_per_dc,
+                                 ReplicaList& out) const {
+  HARMONY_CHECK(arc < ring_.size());
+  out.clear();
+  // The arc's own vnode token lies in the arc (it is the lower_bound of
+  // itself whenever the arc is reachable), so it ranks like any key there.
+  fill_nts(arc, ring_[arc].token, rf_per_dc.begin(), rf_per_dc.size(), out);
 }
 
 std::vector<double> TokenRing::ownership() const {

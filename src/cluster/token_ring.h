@@ -4,12 +4,17 @@
 //   - NetworkTopologyStrategy: per-datacenter replica counts, each DC's
 //     replicas chosen clockwise within that DC.
 //
-// Hot-path design: placement runs millions of times per experiment, so the
-// ring keeps a per-DC index (each DC's vnodes in token order) and NTS merges
-// those DC-local walks by clockwise distance instead of scanning the global
-// ring past foreign-DC vnodes. Replica sets are produced into fixed-capacity
-// inline lists (ReplicaList) — no heap allocation per lookup; the
-// std::vector-returning overloads remain for callers outside the request path.
+// Placement depends only on a key's *arc*: the index of the first vnode at or
+// after its token (wrapping to 0). Both walks read the token only to rank
+// vnodes clockwise, and that order is the same for every token of one arc,
+// so a cluster computes each arc's replica set once (arc_replicas_*) and
+// serves every lookup as a table read at arc_of(key), an O(1) expected
+// bucket probe. The walks themselves keep a per-DC index (each DC's vnodes
+// in token order), and NTS merges those DC-local walks by clockwise distance
+// instead of scanning the global ring past foreign-DC vnodes. Replica sets
+// are produced into fixed-capacity inline lists (ReplicaList); the
+// std::vector-returning overloads remain for callers outside the request
+// path.
 #pragma once
 
 #include <algorithm>
@@ -18,6 +23,7 @@
 
 #include "cluster/versioned_value.h"
 #include "common/check.h"
+#include "common/distributions.h"
 #include "common/small_vec.h"
 #include "net/topology.h"
 
@@ -45,7 +51,7 @@ class TokenRing {
   TokenRing(const net::Topology& topo, int vnodes_per_node, std::uint64_t seed);
 
   /// Hash a key onto the token space.
-  static std::uint64_t token_for(Key key);
+  static std::uint64_t token_for(Key key) { return mix64(key); }
 
   /// Key-range sharding: partition the token space [0, 2^64) into `ranges`
   /// equal contiguous ranges and return the index owning `token`. Computed
@@ -73,6 +79,28 @@ class TokenRing {
 
   std::size_t vnode_count() const { return ring_.size(); }
 
+  /// The key's arc: the index of the first vnode at or after its token,
+  /// wrapping to 0 past the last one (exactly a lower_bound over the ring).
+  /// Every key of one arc has the same replicas. The token's top bits pick a
+  /// bucket, and with about four buckets per vnode most buckets hold at most
+  /// one vnode, whose token alone decides between two arcs without a branch;
+  /// only a crowded bucket scans on.
+  std::size_t arc_of(Key key) const {
+    const std::uint64_t t = token_for(key);
+    const ArcBucket& b = arc_bucket_[t >> arc_shift_];
+    std::size_t i = b.arc + (t > b.token ? 1 : 0);
+    if (b.crowded) [[unlikely]] {
+      while (i < ring_.size() && ring_[i].token < t) ++i;
+    }
+    return i == ring_.size() ? 0 : i;
+  }
+
+  /// Replica set of every key in `arc` (< vnode_count()): what the walks
+  /// above return for any key with arc_of(key) == arc.
+  void arc_replicas_simple(std::size_t arc, int rf, ReplicaList& out) const;
+  void arc_replicas_nts(std::size_t arc, const DcCounts& rf_per_dc,
+                        ReplicaList& out) const;
+
   /// Fraction of the token space owned by each node (for balance tests).
   std::vector<double> ownership() const;
 
@@ -88,15 +116,28 @@ class TokenRing {
   // vnode at global ring position >= g (== dc_ring_[d].size() means "wrap to
   // 0"). Lets NTS seed all DC cursors from ONE global binary search.
   std::vector<std::vector<std::uint32_t>> next_in_dc_;
+  // arc_of's bucket table. Bucket b covers tokens [b << arc_shift_,
+  // (b + 1) << arc_shift_); `arc` is the ring index of the first vnode at or
+  // after its lower edge (ring_.size() when none is), `token` that vnode's
+  // token (all-ones when none is), and `crowded` is set when the vnode after
+  // it also falls in the bucket.
+  struct ArcBucket {
+    std::uint64_t token;
+    std::uint32_t arc;
+    std::uint32_t crowded;
+  };
+  std::vector<ArcBucket> arc_bucket_;
+  unsigned arc_shift_ = 0;
 
   std::size_t first_at_or_after(std::uint64_t token) const;
-  static std::size_t first_at_or_after(const std::vector<VNode>& ring,
-                                       std::uint64_t token);
 
+  // Placement cores, from the key's arc (`start`). fill_nts ranks vnodes by
+  // clockwise distance from `t`, any token of that arc.
   template <typename Out>
-  void fill_simple(Key key, int rf, Out& out) const;
+  void fill_simple(std::size_t start, int rf, Out& out) const;
   template <typename Out>
-  void fill_nts(Key key, const int* rf_per_dc, std::size_t dcs, Out& out) const;
+  void fill_nts(std::size_t start, std::uint64_t t, const int* rf_per_dc,
+                std::size_t dcs, Out& out) const;
 };
 
 // ---------------------------------------------------------- placement cores
@@ -105,11 +146,11 @@ class TokenRing {
 // produce bit-identical orderings.
 
 template <typename Out>
-void TokenRing::fill_simple(Key key, int rf, Out& out) const {
+void TokenRing::fill_simple(std::size_t start, int rf, Out& out) const {
   HARMONY_CHECK(rf >= 1);
   HARMONY_CHECK_MSG(static_cast<std::size_t>(rf) <= topo_->node_count(),
                     "rf exceeds node count");
-  std::size_t i = first_at_or_after(token_for(key));
+  std::size_t i = start;
   for (std::size_t walked = 0;
        walked < ring_.size() && out.size() < static_cast<std::size_t>(rf);
        ++walked, i = (i + 1) % ring_.size()) {
@@ -120,11 +161,11 @@ void TokenRing::fill_simple(Key key, int rf, Out& out) const {
 }
 
 template <typename Out>
-void TokenRing::fill_nts(Key key, const int* rf_per_dc, std::size_t dcs,
+void TokenRing::fill_nts(std::size_t start, std::uint64_t t,
+                         const int* rf_per_dc, std::size_t dcs,
                          Out& out) const {
   HARMONY_CHECK(dcs == topo_->dc_count());
   HARMONY_CHECK_MSG(dcs <= kMaxDcs, "dc_count exceeds kMaxDcs");
-  const std::uint64_t t = token_for(key);
 
   // One cursor per DC that still owes replicas; NTS placement within a DC is
   // the clockwise walk over that DC's own vnodes, and the global interleaved
@@ -139,7 +180,6 @@ void TokenRing::fill_nts(Key key, const int* rf_per_dc, std::size_t dcs,
     int wanted;
   };
   SmallVec<Cursor, kMaxDcs> cursors;
-  const std::size_t start = first_at_or_after(t);
   for (std::size_t d = 0; d < dcs; ++d) {
     HARMONY_CHECK_MSG(
         static_cast<std::size_t>(rf_per_dc[d]) <=

@@ -62,21 +62,6 @@ class FlatTable {
     return {&table_[i].value, true};
   }
 
-  /// Pre-size for a table that will hold `expected_keys` keys in total
-  /// (resident keys included; not an increment): one allocation, and no
-  /// rehash until the table holds more than that. Without it a bulk load
-  /// pays a doubling per power of two, each moving every resident entry.
-  /// No-op when the table is already big enough; never shrinks.
-  void reserve(std::size_t expected_keys) {
-    std::size_t want = initial_capacity_;
-    while (want < expected_keys * 2) want *= 2;
-    if (want <= table_.size()) return;
-    std::vector<Entry> old;
-    old.swap(table_);
-    table_.resize(want);
-    rehash_from(old);
-  }
-
   Value* find(std::uint64_t key) {
     if (key == kEmptyKey) return has_sentinel_ ? &sentinel_value_ : nullptr;
     if (table_.empty()) return nullptr;
@@ -110,10 +95,6 @@ class FlatTable {
     std::vector<Entry> old;
     old.swap(table_);
     table_.resize(old.empty() ? initial_capacity_ : old.size() * 2);
-    rehash_from(old);
-  }
-
-  void rehash_from(std::vector<Entry>& old) {
     const std::size_t mask = table_.size() - 1;
     for (Entry& e : old) {
       if (e.key == kEmptyKey) continue;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -283,6 +284,7 @@ class Runner final : public ClientEnv {
   /// the member-init list, before anything is built or preloaded.
   static const RunConfig& validated(const RunConfig& cfg) {
     cfg.workload.validate();
+    validate_placement(cfg.cluster);
     HARMONY_CHECK_MSG(
         cfg.workload.client_dc < static_cast<int>(cfg.cluster.dc_count),
         "client_dc out of range");
@@ -314,6 +316,44 @@ class Runner final : public ClientEnv {
           "same_rack/same_dc floors > 0 with shards_per_dc > 1");
     }
     return cfg;
+  }
+
+  /// The ring and placement knobs, checked before the cluster builds its
+  /// ring and per-arc placement table (whose own checks name no knob).
+  static void validate_placement(const cluster::ClusterConfig& c) {
+    HARMONY_CHECK_MSG(
+        c.dc_count >= 1 &&
+            c.dc_count <= std::min(cluster::kMaxDcs, c.node_count),
+        "cluster.dc_count = " + std::to_string(c.dc_count) +
+            " must be in [1, min(kMaxDcs = " +
+            std::to_string(cluster::kMaxDcs) + ", cluster.node_count = " +
+            std::to_string(c.node_count) + ")]");
+    HARMONY_CHECK_MSG(c.vnodes_per_node >= 1,
+                      "cluster.vnodes_per_node = " +
+                          std::to_string(c.vnodes_per_node) + " must be >= 1");
+    if (c.use_nts) {
+      // Topology::balanced deals node i to DC i % dc_count. Checked before
+      // the total below, so an NTS rf past node_count names the short DC.
+      const std::vector<int> split = c.rf_per_dc();
+      for (std::size_t d = 0; d < split.size(); ++d) {
+        const std::size_t dc_nodes =
+            c.node_count / c.dc_count + (d < c.node_count % c.dc_count ? 1 : 0);
+        HARMONY_CHECK_MSG(
+            split[d] <= static_cast<int>(dc_nodes),
+            "cluster.rf = " + std::to_string(c.rf) +
+                " split over cluster.dc_count DCs (use_nts) puts " +
+                std::to_string(split[d]) + " replicas in DC " +
+                std::to_string(d) + ", which has " + std::to_string(dc_nodes) +
+                " nodes");
+      }
+    }
+    HARMONY_CHECK_MSG(
+        c.rf >= 1 && static_cast<std::size_t>(c.rf) <= c.node_count &&
+            c.rf <= cluster::kMaxReplicas,
+        "cluster.rf = " + std::to_string(c.rf) +
+            " must be in [1, min(cluster.node_count = " +
+            std::to_string(c.node_count) + ", kMaxReplicas = " +
+            std::to_string(cluster::kMaxReplicas) + ")]");
   }
 
   /// Event shards of a run: one unless num_shard_threads > 0, then

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "alloc_guard.h"
@@ -33,11 +34,12 @@ TEST(Cluster, PreloadPopulatesAllReplicas) {
   EXPECT_EQ(c.storage_bytes(), 100ull * 512 * 5);
 }
 
-TEST(Cluster, PreloadSizesEachStoreOnce) {
+TEST(Cluster, PreloadKeepsRecordsInBaseLayer) {
   // The open-loop benchmark's shape (8 nodes / 2 DCs / rf 3) at a size where
   // vnode placement is skewed: at seed 1 nodes 0, 2 and 6 hold more than
-  // 2048 of the 4000 keys' replicas, so tables sized for the even split plus
-  // a quarter (1875 keys -> 4096 slots) would have to grow mid-load.
+  // 2048 of the 4000 keys' replicas. Preloaded records live in each store's
+  // base layer, whatever a node's share: the load allocates one ownership
+  // bitset per store and nothing else — no store table, no scratch.
   constexpr std::uint64_t kCount = 4000;
   sim::Simulation sim(1);
   ClusterConfig cfg;
@@ -49,8 +51,7 @@ TEST(Cluster, PreloadSizesEachStoreOnce) {
 
   const harmony::testing::AllocGuard guard;
   c.preload_range(kCount, 100);
-  // One table per store plus the two scratch buffers (placements, tallies).
-  EXPECT_LE(guard.allocations(), cfg.node_count + 2);
+  EXPECT_LE(guard.allocations(), cfg.node_count);
 
   std::vector<std::size_t> expected(cfg.node_count, 0);
   for (Key k = 0; k < kCount; ++k) {
@@ -70,6 +71,30 @@ TEST(Cluster, PreloadSizesEachStoreOnce) {
       ASSERT_TRUE(v.has_value()) << "key " << k << " node " << r;
       EXPECT_EQ(v->version, (Version{0, k + 1})) << "key " << k;
       EXPECT_EQ(v->size_bytes, 100u);
+    }
+  }
+}
+
+TEST(Cluster, PreloadRejectsStoresThatAreNotFresh) {
+  {
+    sim::Simulation sim(1);
+    Cluster c(sim, small_config());
+    c.preload_range(10, 64);
+    EXPECT_THROW(c.preload_range(10, 64), CheckError);
+  }
+  {
+    sim::Simulation sim(1);
+    Cluster c(sim, small_config());
+    c.client_write(0, 3, 64, resolve_count(1, 5), [](const WriteResult&) {});
+    sim.run();
+    try {
+      c.preload_range(10, 64);
+      ADD_FAILURE() << "preload after a write was accepted";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("preload needs an empty replica "
+                                           "store"),
+                std::string::npos)
+          << e.what();
     }
   }
 }

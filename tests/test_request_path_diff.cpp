@@ -12,6 +12,15 @@
 //     count, min, max, mean, and a whole percentile grid;
 //   * slot-pool schedules — acquire/release/lookup churn, including lookups
 //     through stale handles of recycled slots, against a unique-id map;
+//   * placement schedules — seeded random rings (1–3 DCs, NTS or
+//     SimpleStrategy, 1–256 vnodes, 1–84 nodes): the cluster's per-arc
+//     placement table against a fresh ring walk for >= 100K keys each,
+//     including keys hashed to both ends of the token space and onto vnode
+//     tokens;
+//   * store schedules — a preloaded ReplicaStore (implicit base layer)
+//     against an eagerly preloaded std::map twin over random apply/read
+//     streams with older, equal and newer versions, compared on every read
+//     and all five counters after every step;
 //   * full cluster runs — real traffic with kill/revive, hinted handoff,
 //     request timeouts, and write storms, mirrored through the oracle's trace
 //     sink into the reference oracle, with run fingerprints asserted
@@ -25,6 +34,7 @@
 // HARMONY_DIFF_EXTRA_SEEDS (comma-separated uint64s, logged on startup).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,23 +43,29 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "cluster/replica_store.h"
 #include "cluster/staleness_oracle.h"
+#include "common/distributions.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/slot_pool.h"
 #include "reference/reference_histogram.h"
 #include "reference/reference_oracle.h"
 #include "reference/reference_pending_map.h"
+#include "reference/reference_store.h"
 #include "sim/simulation.h"
 
 namespace harmony::testing {
 namespace {
 
 // Default schedule counts; the acceptance bar for this harness is >= 5000
-// randomized schedules per full run (3200 + 1500 + 600 + 40 = 5340).
+// randomized schedules per full run (3200 + 1500 + 600 + 24 + 1000 + 40 =
+// 6364).
 constexpr std::uint64_t kOracleSchedules = 3200;
 constexpr std::uint64_t kHistogramSchedules = 1500;
 constexpr std::uint64_t kPoolSchedules = 600;
+constexpr std::uint64_t kPlacementSchedules = 24;  // >= 100K keys each
+constexpr std::uint64_t kStoreSchedules = 1000;
 constexpr std::uint64_t kClusterRuns = 40;
 
 constexpr double kPercentileGrid[] = {0,  0.1, 1,  10,   25,  50,
@@ -347,6 +363,214 @@ TEST(RequestPathDiff, SlotPoolMatchesPendingMapSemantics) {
   for (const auto seed : extra_seeds()) run_block(seed, 60);
   std::printf("[diff] slot-pool schedules: %llu\n",
               (unsigned long long)schedules);
+}
+
+// ---------------------------------------------------------- placement diff
+
+/// The inverse of mix64 (TokenRing::token_for): lets a schedule pick keys by
+/// the token they hash to. fmix64 is xor-shifts (self-inverse at shift 33)
+/// and odd multiplies (inverted by Newton's iteration mod 2^64).
+constexpr std::uint64_t inverse_odd(std::uint64_t a) {
+  std::uint64_t x = a;  // correct to 3 bits; each step doubles that
+  for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+  return x;
+}
+constexpr std::uint64_t key_for_token(std::uint64_t t) {
+  t ^= t >> 33;
+  t *= inverse_odd(0xC4CEB9FE1A85EC53ULL);
+  t ^= t >> 33;
+  t *= inverse_odd(0xFF51AFD7ED558CCDULL);
+  t ^= t >> 33;
+  return t;
+}
+static_assert(mix64(key_for_token(0x0123456789ABCDEFULL)) ==
+              0x0123456789ABCDEFULL);
+
+/// One random ring config: Cluster::replicas_for (the per-arc table behind
+/// TokenRing::arc_of) against a fresh TokenRing walk for >= 100K keys —
+/// random keys, small keys, keys hashing to both ends of the token space
+/// (the wrap arc) and keys at, just before and just after vnode tokens found
+/// by bisecting on where the fresh walk changes.
+void run_placement_schedule(std::uint64_t seed) {
+  Rng rng(seed);
+  cluster::ClusterConfig cfg;
+  cfg.node_count = 1 + rng.uniform_u64(rng.chance(0.5) ? 12 : 84);
+  cfg.dc_count =
+      1 + rng.uniform_u64(std::min<std::uint64_t>(3, cfg.node_count));
+  cfg.rf = 1 + static_cast<int>(rng.uniform_u64(std::min<std::uint64_t>(
+                   cfg.node_count, cluster::kMaxReplicas)));
+  cfg.use_nts = rng.chance(0.5);
+  const double v = rng.uniform();
+  cfg.vnodes_per_node = v < 0.25   ? 1
+                        : v < 0.75 ? 1 + static_cast<int>(rng.uniform_u64(16))
+                                   : 1 + static_cast<int>(rng.uniform_u64(256));
+  sim::Simulation sim(rng.next());
+  const cluster::Cluster c(sim, cfg);
+  const cluster::TokenRing& ring = c.ring();
+  const std::vector<int> split = cfg.rf_per_dc();
+  auto walk = [&](cluster::Key key) {
+    return cfg.use_nts ? ring.replicas_nts(key, split)
+                       : ring.replicas_simple(key, cfg.rf);
+  };
+  auto walk_at = [&](std::uint64_t t) { return walk(key_for_token(t)); };
+  std::uint64_t checked = 0;
+  auto check = [&](cluster::Key key) {
+    const cluster::ReplicaList& placed = c.replicas_for(key);
+    const std::vector<net::NodeId> got(placed.begin(), placed.end());
+    ASSERT_EQ(got, walk(key))
+        << "seed " << seed << ": key " << key << " (token "
+        << cluster::TokenRing::token_for(key) << "), " << cfg.node_count
+        << " nodes, " << cfg.dc_count << " DCs, rf " << cfg.rf << ", "
+        << cfg.vnodes_per_node << " vnodes, "
+        << (cfg.use_nts ? "NTS" : "SimpleStrategy");
+    ++checked;
+  };
+
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  for (std::uint64_t t = 0; t < 64; ++t) {
+    check(key_for_token(t));
+    check(key_for_token(kMax - t));
+  }
+  for (int i = 0; i < 2000; ++i) {  // the outer 2^-16 of either end
+    check(key_for_token(rng.next() >> 16));
+    check(key_for_token(kMax - (rng.next() >> 16)));
+  }
+  // Vnode tokens: where the walk changes between two tokens a < b, bisect
+  // to b == a + 1; the ring then has a vnode at token a.
+  std::vector<std::uint64_t> probes = {0, kMax};
+  for (int i = 0; i < 48; ++i) probes.push_back(rng.next());
+  std::sort(probes.begin(), probes.end());
+  for (std::size_t i = 0; i + 1 < probes.size(); ++i) {
+    std::uint64_t a = probes[i], b = probes[i + 1];
+    if (a == b || walk_at(a) == walk_at(b)) continue;
+    const auto at_a = walk_at(a);
+    while (b - a > 1) {
+      const std::uint64_t m = a + (b - a) / 2;
+      (walk_at(m) == at_a ? a : b) = m;
+    }
+    for (const std::uint64_t t : {a - 1, a, b, b + 1}) check(key_for_token(t));
+  }
+  for (cluster::Key k = 0; k < 16'000; ++k) check(k);
+  while (checked < 100'000) check(rng.next());
+}
+
+TEST(RequestPathDiff, PlacementTableMatchesRingWalk) {
+  std::uint64_t schedules = 0;
+  auto run_block = [&](std::uint64_t base, std::uint64_t count) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      run_placement_schedule(base + i);
+      ASSERT_FALSE(::testing::Test::HasFailure())
+          << "placement diff diverged at seed " << base + i;
+      ++schedules;
+    }
+  };
+  run_block(0x91ACE000ULL, kPlacementSchedules);
+  for (const auto seed : extra_seeds()) run_block(seed, 4);
+  std::printf("[diff] placement schedules: %llu\n",
+              (unsigned long long)schedules);
+}
+
+// -------------------------------------------------------------- store diff
+
+/// One random preload plus apply/read stream through ReplicaStore and the
+/// eager std::map twin, over four kinds of key (base-owned, base-unowned
+/// below the preload count, at or above it, and the all-ones sentinel) with
+/// older, equal and newer versions. Every read and all five counters must
+/// match after every step.
+void run_store_schedule(std::uint64_t seed) {
+  Rng rng(seed);
+  cluster::ReplicaStore prod;
+  ReferenceStore ref;
+  const std::uint64_t count = rng.uniform_u64(rng.chance(0.2) ? 4 : 400);
+  const std::uint64_t seq0 = rng.uniform_u64(1000);
+  const std::uint64_t stride = 1 + rng.uniform_u64(4);
+  const auto size = static_cast<std::uint32_t>(1 + rng.uniform_u64(2048));
+  const double density = rng.uniform();
+  std::vector<bool> owned(count);
+  std::vector<cluster::Key> owned_keys, unowned_keys;
+  for (std::uint64_t k = 0; k < count; ++k) {
+    owned[k] = rng.chance(density);
+    (owned[k] ? owned_keys : unowned_keys).push_back(k);
+  }
+  prod.begin_base(count, seq0, stride, size);
+  for (const cluster::Key k : owned_keys) prod.own_base(k);
+  ref.preload(owned, seq0, stride, size);
+
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  auto expect_same_counters = [&] {
+    ASSERT_EQ(prod.key_count(), ref.key_count());
+    ASSERT_EQ(prod.stored_bytes(), ref.stored_bytes());
+    ASSERT_EQ(prod.reads(), ref.reads());
+    ASSERT_EQ(prod.writes_applied(), ref.writes_applied());
+    ASSERT_EQ(prod.writes_superseded(), ref.writes_superseded());
+  };
+  expect_same_counters();
+
+  constexpr cluster::Key kSentinel = ~cluster::Key{0};
+  const int ops = 50 + static_cast<int>(rng.uniform_u64(400));
+  for (int op = 0; op < ops; ++op) {
+    SCOPED_TRACE("step " + std::to_string(op));
+    cluster::Key key;
+    const double kind = rng.uniform();
+    if (kind < 0.4 && !owned_keys.empty()) {
+      key = owned_keys[rng.uniform_u64(owned_keys.size())];
+    } else if (kind < 0.6 && !unowned_keys.empty()) {
+      key = unowned_keys[rng.uniform_u64(unowned_keys.size())];
+    } else if (kind < 0.9) {
+      key = count + (rng.chance(0.8) ? rng.uniform_u64(32) : rng.next() >> 1);
+    } else {
+      key = kSentinel;
+    }
+    if (rng.chance(0.4)) {
+      const auto got = prod.read(key);
+      const auto want = ref.read(key);
+      ASSERT_EQ(got.has_value(), want.has_value()) << "key " << key;
+      if (got.has_value()) {
+        ASSERT_EQ(got->version, want->version) << "key " << key;
+        ASSERT_EQ(got->size_bytes, want->size_bytes) << "key " << key;
+      }
+    } else {
+      // A version older than, equal to or newer than what the key holds.
+      cluster::Version v{static_cast<SimTime>(rng.uniform_u64(3)),
+                         rng.uniform_u64(2000)};
+      if (const auto cur = ref.peek(key); cur.has_value()) {
+        const double age = rng.uniform();
+        v = cur->version;
+        if (age < 0.3) {
+          if (v.seq > 0 && rng.chance(0.5)) {
+            v.seq -= 1 + rng.uniform_u64(v.seq);
+          } else {
+            --v.timestamp;
+          }
+        } else if (age < 0.6) {
+          // equal
+        } else if (rng.chance(0.5)) {
+          v.seq += 1 + rng.uniform_u64(8);
+        } else {
+          v.timestamp += 1 + static_cast<SimTime>(rng.uniform_u64(3));
+        }
+      }
+      const cluster::VersionedValue value{
+          v, static_cast<std::uint32_t>(1 + rng.uniform_u64(4096))};
+      ASSERT_EQ(prod.apply(key, value), ref.apply(key, value)) << "key " << key;
+    }
+    expect_same_counters();
+  }
+}
+
+TEST(RequestPathDiff, StoreBaseLayerMatchesEagerPreload) {
+  std::uint64_t schedules = 0;
+  auto run_block = [&](std::uint64_t base, std::uint64_t count) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      run_store_schedule(base + i);
+      ASSERT_FALSE(::testing::Test::HasFailure())
+          << "store diff diverged at seed " << base + i;
+      ++schedules;
+    }
+  };
+  run_block(0x57013E00ULL, kStoreSchedules);
+  for (const auto seed : extra_seeds()) run_block(seed, 100);
+  std::printf("[diff] store schedules: %llu\n", (unsigned long long)schedules);
 }
 
 // ------------------------------------------------------- cluster traffic diff

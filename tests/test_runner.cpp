@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -405,6 +406,66 @@ TEST(Runner, RejectsDcReroutingAcrossShards) {
   cfg.workload.reroute_on_dc_outage = true;
   EXPECT_THROW(run_experiment(cfg), CheckError);
   EXPECT_NE(rejection(cfg).find("reroute_on_dc_outage"), std::string::npos)
+      << rejection(cfg);
+}
+
+// Placement knobs: rejected up front, naming the knob, instead of by the
+// unnamed checks in the Cluster and TokenRing constructors.
+TEST(Runner, RejectsRfOutOfRange) {
+  for (const int rf : {0, 9}) {  // 9 > node_count (8)
+    auto cfg = small_run();
+    cfg.cluster.use_nts = false;
+    cfg.cluster.rf = rf;
+    EXPECT_THROW(run_experiment(cfg), CheckError) << "rf " << rf;
+    EXPECT_NE(rejection(cfg).find("cluster.rf = " + std::to_string(rf) +
+                                  " must be in [1, min("),
+              std::string::npos)
+        << rejection(cfg);
+  }
+  auto wide = small_run();
+  wide.cluster.use_nts = false;
+  wide.cluster.node_count = cluster::kMaxReplicas + 4;
+  wide.cluster.rf = cluster::kMaxReplicas + 1;
+  EXPECT_THROW(run_experiment(wide), CheckError);
+  EXPECT_NE(rejection(wide).find("kMaxReplicas"), std::string::npos)
+      << rejection(wide);
+}
+
+TEST(Runner, RejectsVnodesBelowOne) {
+  auto cfg = small_run();
+  cfg.cluster.vnodes_per_node = 0;
+  EXPECT_THROW(run_experiment(cfg), CheckError);
+  EXPECT_NE(rejection(cfg).find("cluster.vnodes_per_node = 0 must be >= 1"),
+            std::string::npos)
+      << rejection(cfg);
+}
+
+TEST(Runner, RejectsDcCountOutOfRange) {
+  // {node_count, dc_count}: no DC, more DCs than nodes, more than kMaxDcs.
+  const std::pair<std::size_t, std::size_t> cases[] = {
+      {8, 0}, {4, 5}, {16, cluster::kMaxDcs + 1}};
+  for (const auto& [nodes, dcs] : cases) {
+    auto cfg = small_run();
+    cfg.cluster.node_count = nodes;
+    cfg.cluster.dc_count = dcs;
+    EXPECT_THROW(run_experiment(cfg), CheckError) << "dc_count " << dcs;
+    EXPECT_NE(rejection(cfg).find("cluster.dc_count = " + std::to_string(dcs) +
+                                  " must be in [1, min(kMaxDcs"),
+              std::string::npos)
+        << rejection(cfg);
+  }
+}
+
+TEST(Runner, RejectsNtsSplitPastDcSize) {
+  // 5 nodes over 2 DCs hold 3 and 2; rf 6 splits 3 + 3 under NTS, one more
+  // replica than DC 1 has nodes. The check names that DC.
+  auto cfg = small_run();
+  cfg.cluster.node_count = 5;
+  cfg.cluster.rf = 6;
+  cfg.cluster.use_nts = true;
+  EXPECT_THROW(run_experiment(cfg), CheckError);
+  EXPECT_NE(rejection(cfg).find("puts 3 replicas in DC 1, which has 2 nodes"),
+            std::string::npos)
       << rejection(cfg);
 }
 
