@@ -13,10 +13,8 @@
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "core/stale_model.h"
-#include "core/static_policy.h"
 #include "ml/kmeans.h"
 #include "sim/simulation.h"
-#include "workload/runner.h"
 
 namespace {
 
@@ -285,100 +283,6 @@ void BM_PreloadRange(benchmark::State& state) {
 }
 BENCHMARK(BM_PreloadRange)->Arg(100'000)->Arg(1'000'000)
     ->Unit(benchmark::kMillisecond);
-
-void BM_ShardedThroughput(benchmark::State& state) {
-  // Single-run parallelism: one 3-DC EC2-style experiment partitioned into
-  // per-DC event shards (sim/shard.h conservative windows). range(0) is
-  // RunConfig::num_shard_threads — 0 is the default one-shard set, 1 three
-  // per-DC shards merged-serial on one thread (its overhead vs 0 is the
-  // interesting delta), 2/4 real worker threads. Every arg simulates the
-  // *same* schedule bit for bit; only wall time may differ, so the benchmark
-  // uses real time and the speedup target (>= 3x at 4 threads) is only
-  // observable on a machine with >= 4 physical cores — the committed
-  // baseline's machine context (num_cpus) says what it was measured on.
-  const auto threads = static_cast<unsigned>(state.range(0));
-  workload::RunConfig cfg;
-  cfg.label = "sharded-bench";
-  cfg.cluster.node_count = 12;
-  cfg.cluster.dc_count = 3;
-  cfg.cluster.rf = 3;
-  cfg.cluster.latency = net::TieredLatencyModel::ec2_two_az();
-  // WAN hop with an explicit propagation floor: the floor is the
-  // conservative lookahead, so every window covers a full WAN round.
-  cfg.cluster.latency.cross_dc = {msec(2), 0.3, msec(1)};
-  cfg.workload = workload::WorkloadSpec::ycsb_a();
-  cfg.workload.op_count = 30'000;
-  cfg.workload.record_count = 10'000;
-  cfg.workload.clients_per_dc = 32;
-  cfg.policy = core::static_level(cluster::Level::kOne);
-  cfg.warmup = 100 * kMillisecond;
-  cfg.num_shard_threads = threads;
-  cfg.seed = 7;
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    const auto r = workload::run_experiment(cfg);
-    events += r.sim_events;
-    benchmark::DoNotOptimize(r.throughput);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(cfg.workload.op_count * state.iterations()));
-  state.counters["sim_events"] =
-      benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
-  state.SetLabel(threads == 0 ? "serial"
-                              : "shards=3 threads=" + std::to_string(threads));
-}
-BENCHMARK(BM_ShardedThroughput)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-void BM_KeyRangeShardedThroughput(benchmark::State& state) {
-  // Scaling past the DC count: one *single-DC* EC2-style experiment whose
-  // token space splits into range(0) key-range shards (cluster/shard_map.h),
-  // each driven by its own worker thread. PR 8's per-DC sharding cannot
-  // parallelize this topology at all (1 DC == 1 shard); key-range sharding
-  // turns the same run into S independent lanes synchronized on the intra-DC
-  // propagation floor. Every arg simulates the same workload semantics and
-  // S >= 2 configs reproduce each other's merged order bit for bit; shards=1
-  // is the serial reference the speedup is measured against. The >= 2x
-  // target at 4 shards/4 threads is only observable on a machine with >= 4
-  // physical cores — the committed baseline's machine context (num_cpus)
-  // says what it was measured on.
-  const auto shards = static_cast<unsigned>(state.range(0));
-  workload::RunConfig cfg;
-  cfg.label = "key-range-bench";
-  cfg.cluster.node_count = 16;
-  cfg.cluster.dc_count = 1;
-  cfg.cluster.rf = 3;
-  cfg.cluster.latency = net::TieredLatencyModel::ec2_two_az();
-  cfg.cluster.latency.cross_dc = {msec(2), 0.3, msec(1)};
-  // Intra-DC legs cross shards under key-range sharding, so the intra-DC
-  // floors carry the conservative lookahead.
-  cfg.cluster.latency.same_rack.floor = usec(150);
-  cfg.cluster.latency.same_dc.floor = usec(150);
-  cfg.workload = workload::WorkloadSpec::ycsb_a();
-  cfg.workload.op_count = 30'000;
-  cfg.workload.record_count = 10'000;
-  cfg.workload.clients_per_dc = 32;
-  cfg.policy = core::static_level(cluster::Level::kOne);
-  cfg.warmup = 100 * kMillisecond;
-  cfg.num_shard_threads = shards == 1 ? 0 : shards;  // one thread per shard
-  cfg.shards_per_dc = shards;
-  cfg.seed = 7;
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    const auto r = workload::run_experiment(cfg);
-    events += r.sim_events;
-    benchmark::DoNotOptimize(r.throughput);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(cfg.workload.op_count * state.iterations()));
-  state.counters["sim_events"] =
-      benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
-  state.SetLabel(shards == 1
-                     ? "serial 1-dc"
-                     : "key-range shards=" + std::to_string(shards) +
-                           " threads=" + std::to_string(shards));
-}
-BENCHMARK(BM_KeyRangeShardedThroughput)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime();
 
 }  // namespace
 

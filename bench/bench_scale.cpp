@@ -13,9 +13,9 @@
 //      diurnal / flash-crowd rate envelopes, over a heavy-tailed (scrambled
 //      zipfian) population of simulated users. The flash window must lift
 //      offered load; the heavy-tailed gaps must fatten the queueing tail.
-//   3. Determinism: the whole engine re-run with the same seed, and sharded
-//      across 1/2/4 worker threads, must reproduce every ledger counter,
-//      histogram percentile, and event count exactly.
+//   3. Determinism: the whole engine re-run with the same seed must
+//      reproduce every ledger counter, histogram percentile, and event count
+//      exactly.
 //
 // Extra flags on top of bench_common.h:
 //   --smoke       CI-sized run: 1 seed, small population, short duration
@@ -328,101 +328,60 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------------------------------
-  // Scenario 3: determinism — rerun- and shard-thread-invariance.
+  // Scenario 3: determinism — rerun invariance.
   // ------------------------------------------------------------------------
   {
     bench::print_header(
-        "Scale 3/3: determinism — reruns and shard threads",
-        "9 nodes / 3 DCs (1ms cross-DC floor), flash-crowd overload; the "
-        "same seed must reproduce every counter and percentile exactly for "
-        "reruns and for 1/2/4 shard worker threads — then again for a "
-        "single DC split into 4 key-range shards");
+        "Scale 3/3: determinism — reruns",
+        "9 nodes / 3 DCs, flash-crowd overload; the same seed must reproduce "
+        "every counter and percentile exactly");
 
-    auto make = [&](unsigned threads) {
+    auto make = [&] {
       auto cfg = open_config(p, saturating, args.seed);
-      cfg.label = "threads=" + std::to_string(threads);
+      cfg.label = "determinism";
       cfg.cluster.node_count = 9;
       cfg.cluster.dc_count = 3;
-      cfg.cluster.latency.cross_dc.floor = kMillisecond;
       cfg.workload.open_loop.curve = workload::RateCurve::kFlashCrowd;
       cfg.workload.open_loop.flash_at = p.duration / 2;
       cfg.workload.open_loop.flash_ramp = p.duration / 10;
       cfg.workload.open_loop.flash_hold = p.duration / 5;
-      cfg.num_shard_threads = threads;
       return cfg;
     };
 
-    const auto serial = workload::run_experiment(make(1));
-    const auto rerun = workload::run_experiment(make(1));
-    const auto two = workload::run_experiment(make(2));
-    const auto four = workload::run_experiment(make(4));
+    const auto first = workload::run_experiment(make());
+    const auto rerun = workload::run_experiment(make());
 
     // Every comparison is exact equality — "close" is a determinism bug.
-    auto same = [](const workload::RunResult& a, const workload::RunResult& b,
-                   const char* what) {
-      const auto& x = a.open_loop;
-      const auto& y = b.open_loop;
-      const bool ok =
-          a.reads == b.reads && a.writes == b.writes && a.errors == b.errors &&
-          a.sim_events == b.sim_events &&
-          a.net.total_bytes() == b.net.total_bytes() &&
-          a.read_latency.count() == b.read_latency.count() &&
-          a.read_latency.percentile(99) == b.read_latency.percentile(99) &&
-          a.write_latency.percentile(99) == b.write_latency.percentile(99) &&
-          x.arrivals == y.arrivals && x.issued == y.issued &&
-          x.completed == y.completed && x.failed == y.failed &&
-          x.shed_queue_full == y.shed_queue_full &&
-          x.queued_at_end == y.queued_at_end &&
-          x.in_flight_at_end == y.in_flight_at_end && x.sla_ok == y.sla_ok &&
-          x.sla_total == y.sla_total &&
-          x.queueing_delay.count() == y.queueing_delay.count() &&
-          x.queueing_delay.percentile(99) == y.queueing_delay.percentile(99);
-      std::printf("  %-28s %s\n", what, ok ? "identical" : "DIVERGED");
-      return ok;
-    };
+    const auto& x = first.open_loop;
+    const auto& y = rerun.open_loop;
+    const bool same =
+        first.reads == rerun.reads && first.writes == rerun.writes &&
+        first.errors == rerun.errors && first.sim_events == rerun.sim_events &&
+        first.net.total_bytes() == rerun.net.total_bytes() &&
+        first.read_latency.count() == rerun.read_latency.count() &&
+        first.read_latency.percentile(99) == rerun.read_latency.percentile(99) &&
+        first.write_latency.percentile(99) ==
+            rerun.write_latency.percentile(99) &&
+        x.arrivals == y.arrivals && x.issued == y.issued &&
+        x.completed == y.completed && x.failed == y.failed &&
+        x.shed_queue_full == y.shed_queue_full &&
+        x.queued_at_end == y.queued_at_end &&
+        x.in_flight_at_end == y.in_flight_at_end && x.sla_ok == y.sla_ok &&
+        x.sla_total == y.sla_total &&
+        x.queueing_delay.count() == y.queueing_delay.count() &&
+        x.queueing_delay.percentile(99) == y.queueing_delay.percentile(99);
 
-    std::printf("baseline threads=1: %llu arrivals, %llu events, read p99 %s\n",
-                static_cast<unsigned long long>(serial.open_loop.arrivals),
-                static_cast<unsigned long long>(serial.sim_events),
-                format_duration(serial.read_latency.percentile(99)).c_str());
-    bool pass = ledger_conserved(serial.open_loop, "threads=1");
-    pass &= same(serial, rerun, "rerun, same seed");
-    pass &= same(serial, two, "2 shard threads");
-    pass &= same(serial, four, "4 shard threads");
-
-    // Key-range variant: a *single-DC* open-loop run split into 4 key-range
-    // shards (one source per shard, ownership-filtered key streams). PR 8
-    // could not thread this topology at all; the determinism bar is the
-    // same — 1/2/4 workers reproduce the merged-serial ledger exactly.
-    auto make_kr = [&](unsigned threads) {
-      auto cfg = open_config(p, saturating, args.seed);
-      cfg.label = "kr-threads=" + std::to_string(threads);
-      cfg.cluster.node_count = 8;
-      cfg.cluster.dc_count = 1;
-      cfg.cluster.latency.cross_dc.floor = kMillisecond;
-      cfg.cluster.latency.same_rack.floor = usec(150);
-      cfg.cluster.latency.same_dc.floor = usec(150);
-      cfg.workload.open_loop.curve = workload::RateCurve::kFlashCrowd;
-      cfg.workload.open_loop.flash_at = p.duration / 2;
-      cfg.workload.open_loop.flash_ramp = p.duration / 10;
-      cfg.workload.open_loop.flash_hold = p.duration / 5;
-      cfg.num_shard_threads = threads;
-      cfg.shards_per_dc = 4;
-      return cfg;
-    };
-    const auto kr_serial = workload::run_experiment(make_kr(1));
-    const auto kr_two = workload::run_experiment(make_kr(2));
-    const auto kr_four = workload::run_experiment(make_kr(4));
-    std::printf("key-range 1 DC x 4 shards: %llu arrivals, %llu events\n",
-                static_cast<unsigned long long>(kr_serial.open_loop.arrivals),
-                static_cast<unsigned long long>(kr_serial.sim_events));
-    pass &= ledger_conserved(kr_serial.open_loop, "kr-threads=1");
-    pass &= same(kr_serial, kr_two, "key-range, 2 threads");
-    pass &= same(kr_serial, kr_four, "key-range, 4 threads");
+    std::printf("baseline: %llu arrivals, %llu events, read p99 %s\n",
+                static_cast<unsigned long long>(first.open_loop.arrivals),
+                static_cast<unsigned long long>(first.sim_events),
+                format_duration(first.read_latency.percentile(99)).c_str());
+    bool pass = ledger_conserved(first.open_loop, "baseline");
+    std::printf("  %-28s %s\n", "rerun, same seed",
+                same ? "identical" : "DIVERGED");
+    pass &= same;
 
     all_pass = all_pass && pass;
-    std::printf("%s: byte-identical ledger and percentiles across reruns and "
-                "shard-thread counts\n\n",
+    std::printf("%s: byte-identical ledger and percentiles across reruns\n\n",
                 pass ? "PASS" : "FAIL");
   }
 

@@ -36,8 +36,7 @@ using sim::EventKind;
 using sim::TypedEvent;
 
 /// Header-only part of a cluster-domain typed event; call sites fill the
-/// payload union member their kind's handler reads (and, under sharding, the
-/// destination `shard` / record-owner `home` bytes).
+/// payload union member their kind's handler reads.
 TypedEvent cluster_event(EventKind kind, Cluster* target) {
   TypedEvent e;
   e.kind = kind;
@@ -48,10 +47,9 @@ TypedEvent cluster_event(EventKind kind, Cluster* target) {
 /// kRepairArrive/kRepairApply/kHintDeliver: a keyed mutation headed at a
 /// node (value size and version ride in the kv payload).
 TypedEvent kv_event(EventKind kind, Cluster* target, net::NodeId node, Key key,
-                    const VersionedValue& value, std::uint8_t shard) {
+                    const VersionedValue& value) {
   TypedEvent e = cluster_event(kind, target);
   e.node = node;
-  e.shard = shard;
   e.u.kv = {key, value.version.timestamp, value.version.seq, value.size_bytes};
   return e;
 }
@@ -70,40 +68,12 @@ Cluster::Cluster(sim::Simulation& sim, ClusterConfig cfg)
   sim.set_event_dispatcher(sim::EventDomain::kCluster, &Cluster::dispatch_event);
   for (const int w : cfg_.rf_per_dc()) rf_per_dc_.push_back(w);
 
-  // Per-shard request-path state, one instance per event shard; the shard
-  // map lays DCs, nodes and key ranges over them. Shard RNGs fork before the
-  // node RNGs below, in shard order, so a single-shard cluster replays the
-  // historical master-RNG draw sequence byte for byte.
-  const std::uint32_t shard_count = sim.shard_count();
-  shard_map_.build(topo_, shard_count);
-  HARMONY_CHECK_MSG(
-      sim.lookahead() <=
-          ShardMap::lookahead(cfg_.latency, cfg_.dc_count, shard_count),
-      "conservative sharding needs the latency floor of every hop class that "
-      "can cross shards (cross_dc, and same_rack/same_dc once a DC splits) "
-      ">= the configured lookahead");
-  deferred_ = shard_count > 1;
-  shards_.reserve(shard_count);
-  for (std::uint32_t s = 0; s < shard_count; ++s) {
-    // lint: allow(hot-path-alloc): construction-time shard array; steady
-    // state only indexes it (alloc_guard pins the request path).
-    auto st = std::make_unique<ShardState>();
-    st->id = s;
-    st->rng = sim.fork_rng(0xC1D2E3F4ULL + s);
-    if (deferred_) {
-      // Pre-grow the pools: remote shards read pinned write records through
-      // get() while the home shard acquires/releases, which is only race-free
-      // if the slab never grows mid-window (see SlotPool::reserve).
-      st->pending_writes.reserve(cfg_.sharded_slot_reserve);
-      st->pending_reads.reserve(cfg_.sharded_slot_reserve);
-    }
-    shards_.push_back(std::move(st));
-  }
-  if (deferred_) sim.set_barrier_hook(&Cluster::barrier_hook, this);
+  // The request-path RNG forks before the node RNGs below.
+  rng_ = sim.fork_rng(0xC1D2E3F4ULL);
 
-  // Placement, once per arc (token_ring.h): read-only from here on, so
-  // every shard shares it. The walks check rf against the ring and every
-  // NTS per-DC count against its DC.
+  // Placement, once per arc (token_ring.h): read-only from here on. The
+  // walks check rf against the ring and every NTS per-DC count against its
+  // DC.
   arc_replicas_.resize(ring_.vnode_count());
   for (std::size_t a = 0; a < arc_replicas_.size(); ++a) {
     if (cfg_.use_nts) {
@@ -128,24 +98,8 @@ Cluster::Cluster(sim::Simulation& sim, ClusterConfig cfg)
   latency_mult_.assign(cfg_.node_count, 1.0);
   if (cfg_.resilience.admission_rate > 0) {
     // Buckets start full so a run's leading edge is not spuriously shed.
-    // One bucket per DC per shard of that DC (ShardMap::admission_bucket),
-    // each carrying 1/S of its DC's rate and burst, so shards admit
-    // independently (no cross-shard bucket mutation) while the per-DC
-    // aggregate matches the configuration; S == 1 divides by 1.0 — exact.
-    admission_.resize(shard_map_.admission_buckets());
-    const auto split = static_cast<double>(shard_map_.shards_per_dc());
-    for (std::size_t b = 0; b < admission_.size(); ++b) {
-      admission_[b].rate = cfg_.resilience.admission_rate / split;
-      admission_[b].burst = cfg_.resilience.admission_burst / split;
-      admission_[b].tokens = admission_[b].burst;
-    }
-  }
-  if (deferred_ && cfg_.anti_entropy_period > 0) {
-    // Sharded anti-entropy rides fenced instants: the sweep mutates stores
-    // and dirty sets across shards, so every sweep runs merged-serial. Armed
-    // here for the first period; the sweep re-arms itself while the
-    // simulation still has pending events.
-    arm_anti_entropy_fence(cfg_.anti_entropy_period);
+    admission_.assign(cfg_.dc_count,
+                      TokenBucket{cfg_.resilience.admission_burst, 0});
   }
 }
 
@@ -162,22 +116,20 @@ const Node& Cluster::node(net::NodeId id) const {
 }
 
 void Cluster::preload_range(std::uint64_t count, std::uint32_t size) {
-  ShardState& st = here();
-  // Record k carries the write id the k-th of `count` writes from this
-  // shard would get (seq = ++write_seq * shards + id), so every store holds
-  // it implicitly in its base layer and one pass marks its owners.
-  const std::uint64_t stride = shards_.size();
-  const std::uint64_t seq0 = (st.write_seq + 1) * stride + st.id;
-  for (const auto& n : nodes_) n->store().begin_base(count, seq0, stride, size);
+  // Record k carries the write id the k-th of `count` writes issued now
+  // would get, so every store holds it implicitly in its base layer and one
+  // pass marks its owners.
+  const std::uint64_t seq0 = write_seq_ + 1;
+  for (const auto& n : nodes_) n->store().begin_base(count, seq0, 1, size);
   for (std::uint64_t k = 0; k < count; ++k) {
     for (const net::NodeId r : replicas_for(k)) nodes_[r]->store().own_base(k);
   }
-  st.write_seq += count;
+  write_seq_ += count;
 }
 
 // ------------------------------------------------------------ link helpers
 
-net::NodeId Cluster::pick_coordinator(net::DcId dc, Rng& rng) {
+net::NodeId Cluster::pick_coordinator(net::DcId dc) {
   // Count-then-select keeps the choice uniform over alive candidates with a
   // single RNG draw (the same draw sequence as the old materialize-a-vector
   // version) and no allocation.
@@ -187,41 +139,33 @@ net::NodeId Cluster::pick_coordinator(net::DcId dc, Rng& rng) {
       if (node_alive(n)) ++alive;
     }
     if (alive == 0) return -1;
-    std::uint64_t target = rng.uniform_u64(alive);
+    std::uint64_t target = rng_.uniform_u64(alive);
     for (const net::NodeId n : candidates) {
       if (node_alive(n) && target-- == 0) return static_cast<int>(n);
     }
     return -1;  // unreachable
   };
-  // A node's coordinator state (service queue, busy time) is owned by
-  // exactly one shard, so the pick stays inside the DC's nodes that the
-  // executing shard owns: the whole DC unless the DC splits.
-  int c = pick_from(shard_map_.coordinators(dc, sim_->current_shard()));
+  int c = pick_from(topo_.nodes_in_dc(dc));
   if (c >= 0) return static_cast<net::NodeId>(c);
-  // Whole-DC outage: fall back to any alive node. That node may live on
-  // another shard, so like the DC blackout faults that cause this, the
-  // fallback needs a single shard.
-  HARMONY_CHECK_MSG(!deferred_,
-                    "sharded execution requires an alive coordinator in the "
-                    "request's shard");
+  // Whole-DC outage: fall back to any alive node.
   c = pick_from(std::views::iota(
       net::NodeId{0}, static_cast<net::NodeId>(topo_.node_count())));
   HARMONY_CHECK_MSG(c >= 0, "no alive node to coordinate");
   return static_cast<net::NodeId>(c);
 }
 
-SimDuration Cluster::client_link_delay(Rng& rng, bool cross_dc) {
+SimDuration Cluster::client_link_delay(bool cross_dc) {
   // Clients are homed in a DC; their link to the coordinator is a same-DC hop
   // — unless the client re-routed to a surviving DC during failover, which
   // makes the hop a WAN crossing.
   const auto& t =
       cross_dc ? latency_.params().cross_dc : latency_.params().same_dc;
   return static_cast<SimDuration>(
-      rng.lognormal_median(static_cast<double>(t.base), t.sigma));
+      rng_.lognormal_median(static_cast<double>(t.base), t.sigma));
 }
 
-SimDuration Cluster::link_delay(net::NodeId src, net::NodeId dst, Rng& rng) {
-  SimDuration d = latency_.sample(topo_, src, dst, rng);
+SimDuration Cluster::link_delay(net::NodeId src, net::NodeId dst) {
+  SimDuration d = latency_.sample(topo_, src, dst, rng_);
   if (links_degraded_) {
     double m = latency_mult_[src] * latency_mult_[dst];
     if (!topo_.same_dc(src, dst)) m *= wan_mult_;
@@ -231,17 +175,16 @@ SimDuration Cluster::link_delay(net::NodeId src, net::NodeId dst, Rng& rng) {
 }
 
 void Cluster::account(net::NodeId src, net::NodeId dst, std::uint64_t bytes) {
-  here().net_stats.record(net::classify(topo_, src, dst), bytes);
+  net_stats_.record(net::classify(topo_, src, dst), bytes);
 }
 
 void Cluster::account_client(std::uint64_t bytes, bool cross_dc) {
-  here().net_stats.record(
+  net_stats_.record(
       cross_dc ? net::LinkClass::kCrossDc : net::LinkClass::kSameDc, bytes);
 }
 
 ReplicaList Cluster::order_for_read(net::NodeId coord,
-                                    const ReplicaList& replicas,
-                                    Rng& rng) const {
+                                    const ReplicaList& replicas) {
   struct Ranked {
     int rank;
     std::uint64_t shuffle;
@@ -253,7 +196,7 @@ ReplicaList Cluster::order_for_read(net::NodeId coord,
     if (cfg_.closest_first_snitch) {
       rank = static_cast<int>(net::classify(topo_, coord, r));
     }
-    ranked.push_back({rank, rng.next(), r});
+    ranked.push_back({rank, rng_.next(), r});
   }
   // Insertion sort: ranked holds at most kMaxReplicas (8) entries, and the
   // fixed bound sidesteps std::sort's 16-element insertion threshold (which
@@ -278,44 +221,28 @@ ReplicaList Cluster::order_for_read(net::NodeId coord,
 void Cluster::client_write(net::DcId client_dc, Key key, std::uint32_t size,
                            ReplicaRequirement req, WriteCallback cb,
                            net::DcId origin_dc) {
-  // The workload layer routes each operation to home_shard(client_dc, key):
-  // request state lives on this shard, and the shard map checks it is one
-  // of the client DC's shards when the coordinator is picked.
-  ShardState& st = here();
   // Acquired slots come back in default state (release resets them), so only
   // the non-default fields need touching.
-  HARMONY_CHECK_MSG(!deferred_ ||
-                        st.pending_writes.live() < st.pending_writes.capacity(),
-                    "sharded_slot_reserve exhausted (pending writes)");
-  const auto [h, w] = st.pending_writes.acquire();
+  const auto [h, w] = pending_writes_.acquire();
   w->key = key;
   w->start = sim_->now();
-  // Interleaved per-shard seq streams (residue = shard id) keep write seqs
-  // unique and shard-deterministic; a single shard draws the historical
-  // 1,2,3,... stream exactly.
-  w->value = VersionedValue{
-      Version{sim_->now(), ++st.write_seq * shards_.size() + st.id}, size};
+  w->value = VersionedValue{Version{sim_->now(), ++write_seq_}, size};
   w->client_dc = client_dc;
   w->needed = req.count;
   w->local_only = req.local_only;
   w->each_quorum = req.each_quorum;
   w->cross_origin = origin_dc != kSameOrigin && origin_dc != client_dc;
-  HARMONY_CHECK_MSG(!deferred_ || !w->cross_origin,
-                    "cross-origin (DC failover) clients would issue into a "
-                    "foreign shard; serial-only");
   w->cb = std::move(cb);
 
   account_client(cfg_.message_overhead_bytes + size, w->cross_origin);
-  const SimDuration d = client_link_delay(st.rng, w->cross_origin);
+  const SimDuration d = client_link_delay(w->cross_origin);
   TypedEvent ev = cluster_event(EventKind::kStartWrite, this);
-  ev.shard = static_cast<std::uint8_t>(st.id);
   ev.u.req.h = {h.slot, h.generation};
   sim_->schedule_event(d, ev);
 }
 
 void Cluster::start_write(WriteHandle h) {
-  ShardState& st = here();
-  PendingWrite* wp = st.pending_writes.get(h);
+  PendingWrite* wp = pending_writes_.get(h);
   if (wp == nullptr) return;
   PendingWrite& w = *wp;
 
@@ -327,10 +254,9 @@ void Cluster::start_write(WriteHandle h) {
           wait <= cfg_.resilience.admission_max_delay) {
         // Pre-pay the token (the bucket goes negative, queueing followers
         // behind this request) and re-enter once it is covered.
-        admission_bucket(w.client_dc).tokens -= 1.0;
+        admission_[w.client_dc].tokens -= 1.0;
         w.admitted = true;
         TypedEvent ev = cluster_event(EventKind::kStartWrite, this);
-        ev.shard = static_cast<std::uint8_t>(st.id);
         ev.u.req.h = {h.slot, h.generation};
         sim_->schedule_event(wait, ev);
         return;
@@ -340,7 +266,7 @@ void Cluster::start_write(WriteHandle h) {
     }
   }
 
-  w.coord = pick_coordinator(w.client_dc, st.rng);
+  w.coord = pick_coordinator(w.client_dc);
   Node& coord = *nodes_[w.coord];
   const SimDuration coord_delay = coord.service(ServiceKind::kCoordinate, sim_->now());
 
@@ -374,16 +300,15 @@ void Cluster::start_write(WriteHandle h) {
     feasible = alive_total >= w.needed;
   }
   if (!feasible) {
-    ++st.unavailable;
+    ++unavailable_;
     const SimDuration back =
-        coord_delay + client_link_delay(st.rng, w.cross_origin);
+        coord_delay + client_link_delay(w.cross_origin);
     account_client(cfg_.message_overhead_bytes, w.cross_origin);
     // No timeout is armed yet, so marking the record responded parks it
     // until the typed delivery leg hands the failure to the client.
     w.responded = true;
     w.deliver_ok = false;
     TypedEvent ev = cluster_event(EventKind::kWriteDeliver, this);
-    ev.shard = static_cast<std::uint8_t>(st.id);
     ev.u.req.h = {h.slot, h.generation};
     sim_->schedule_event(back, ev);
     return;
@@ -392,11 +317,8 @@ void Cluster::start_write(WriteHandle h) {
   w.alive_targets = alive_total;
 
   if (cfg_.anti_entropy_period > 0) {
-    // Dirty marking stays shard-local; the sweep (lazily scheduled when
-    // unsharded, fence-armed at construction when sharded) walks every
-    // shard's set and deduplicates keys dirtied from several DCs.
-    st.dirty_keys.insert(w.key);
-    if (!deferred_ && !anti_entropy_scheduled_) {
+    dirty_keys_.insert(w.key);
+    if (!anti_entropy_scheduled_) {
       anti_entropy_scheduled_ = true;
       sim_->schedule_event(cfg_.anti_entropy_period,
                            cluster_event(EventKind::kAntiEntropySweep, this));
@@ -404,113 +326,74 @@ void Cluster::start_write(WriteHandle h) {
   }
 
   // Writes go to every replica; dead targets get hints (hinted handoff).
-  // Fan-out legs execute on the replica's shard but resolve the pending
-  // record in this (home) shard's pool via the event's `home` byte.
-  const std::uint8_t home = static_cast<std::uint8_t>(st.id);
   for (const net::NodeId r : w.replicas) {
     if (!node_alive(r)) {
-      st.hints.add(r, w.key, w.value);
+      hints_.add(r, w.key, w.value);
       continue;
     }
     account(w.coord, r, cfg_.message_overhead_bytes + w.value.size_bytes);
-    const SimDuration d = coord_delay + link_delay(w.coord, r, st.rng);
+    const SimDuration d = coord_delay + link_delay(w.coord, r);
     TypedEvent ev = cluster_event(EventKind::kWriteApply, this);
     ev.node = r;
-    ev.shard = shard_of(r);
-    ev.home = home;
     ev.u.req.h = {h.slot, h.generation};
     sim_->schedule_event(d, ev);
   }
 
   w.timeout = sim_->schedule(cfg_.request_timeout, [this, h] {
-    PendingWrite* t = here().pending_writes.get(h);
+    PendingWrite* t = pending_writes_.get(h);
     if (t == nullptr || t->responded) return;
-    ++here().timeouts;
+    ++timeouts_;
     finish_write(h, false);
   });
 }
 
-void Cluster::replica_apply_write(WriteHandle h, net::NodeId replica,
-                                  std::uint32_t home) {
-  // Runs on the replica's shard; the record lives in the home shard's pool.
-  // Only the pinned fields (key/value/coord/start) may be read remotely.
-  PendingWrite* wp = shards_[home]->pending_writes.get(h);
+void Cluster::replica_apply_write(WriteHandle h, net::NodeId replica) {
+  PendingWrite* wp = pending_writes_.get(h);
   if (wp == nullptr) return;
   PendingWrite& w = *wp;
   if (!node_alive(replica)) {
     // Died mid-flight: mutation lost (hint was only stored for known-dead
     // targets). The lifecycle still completes.
-    if (!deferred_) {
-      ++w.completed_targets;
-      if (w.completed_targets == w.alive_targets) {
-        observer_write_propagated(w.key, w.start, w.delays);
-        if (w.delivered) shards_[home]->pending_writes.release(h);
-      }
-      return;
+    ++w.completed_targets;
+    if (w.completed_targets == w.alive_targets) {
+      observer_write_propagated(w.key, w.start, w.delays);
+      if (w.delivered) pending_writes_.release(h);
     }
-    // Sharded: completed_targets is home-side state, so the completion rides
-    // an ack-shaped event home (flag 0 = lifecycle only, no consistency
-    // credit), paced like the ack the replica would have sent.
-    const SimDuration back = link_delay(replica, w.coord, here().rng);
-    TypedEvent ev = cluster_event(EventKind::kWriteAck, this);
-    ev.node = replica;
-    ev.flag = 0;
-    ev.shard = static_cast<std::uint8_t>(home);
-    ev.home = static_cast<std::uint8_t>(home);
-    ev.u.ack = {{h.slot, h.generation}, 0};
-    sim_->schedule_event(back, ev);
     return;
   }
   const SimDuration svc = nodes_[replica]->service(ServiceKind::kWrite, sim_->now());
-  ++here().replica_ops;
+  ++replica_ops_;
   TypedEvent ev = cluster_event(EventKind::kWriteApplied, this);
   ev.node = replica;
-  ev.shard = shard_of(replica);
-  ev.home = static_cast<std::uint8_t>(home);
   ev.u.req.h = {h.slot, h.generation};
   sim_->schedule_event(svc, ev);
 }
 
-void Cluster::write_apply_done(WriteHandle h, net::NodeId replica,
-                               std::uint32_t home) {
+void Cluster::write_apply_done(WriteHandle h, net::NodeId replica) {
   // The pending record provably outlives every apply/ack leg: release
   // requires completed_targets == alive_targets, and this replica only
   // counts as completed once its ack (scheduled below) has run. The key,
   // value, and coordinator are therefore read from the record instead of
-  // traveling in the event — remotely, they are pinned fields.
-  PendingWrite* wp = shards_[home]->pending_writes.get(h);
+  // traveling in the event.
+  PendingWrite* wp = pending_writes_.get(h);
   if (wp == nullptr) return;
   nodes_[replica]->store().apply(wp->key, wp->value);
   const SimDuration apply_delay = sim_->now() - wp->start;
   account(replica, wp->coord, cfg_.message_overhead_bytes);
-  const SimDuration back = link_delay(replica, wp->coord, here().rng);
+  const SimDuration back = link_delay(replica, wp->coord);
   TypedEvent ev = cluster_event(EventKind::kWriteAck, this);
   ev.node = replica;
-  ev.flag = 1;
-  ev.shard = static_cast<std::uint8_t>(home);
-  ev.home = static_cast<std::uint8_t>(home);
   ev.u.ack = {{h.slot, h.generation}, apply_delay};
   sim_->schedule_event(back, ev);
 }
 
 void Cluster::write_ack(WriteHandle h, net::NodeId replica,
-                        SimDuration apply_delay, bool acked) {
-  // Back on the home shard: here() owns the record again.
-  ShardState& st = here();
-  PendingWrite* wp = st.pending_writes.get(h);
+                        SimDuration apply_delay) {
+  PendingWrite* wp = pending_writes_.get(h);
   if (wp == nullptr) return;
   PendingWrite& w = *wp;
 
   ++w.completed_targets;
-  if (!acked) {
-    // Lifecycle-only completion: the replica died mid-flight (see
-    // replica_apply_write's sharded path); no consistency credit.
-    if (w.completed_targets == w.alive_targets) {
-      observer_write_propagated(w.key, w.start, w.delays);
-      if (w.delivered) st.pending_writes.release(h);
-    }
-    return;
-  }
   w.delays.push_back(apply_delay);
   const net::DcId dc = topo_.dc_of(replica);
   ++w.acks;
@@ -539,28 +422,26 @@ void Cluster::write_ack(WriteHandle h, net::NodeId replica,
 
   if (met && !w.responded) finish_write(h, true);
 
-  PendingWrite* w2 = st.pending_writes.get(h);
+  PendingWrite* w2 = pending_writes_.get(h);
   if (w2 == nullptr) return;
-  if (propagation_done && w2->delivered) st.pending_writes.release(h);
+  if (propagation_done && w2->delivered) pending_writes_.release(h);
 }
 
 void Cluster::finish_write(WriteHandle h, bool ok) {
-  ShardState& st = here();
-  PendingWrite* wp = st.pending_writes.get(h);
+  PendingWrite* wp = pending_writes_.get(h);
   if (wp == nullptr) return;
   PendingWrite& w = *wp;
   w.responded = true;
   w.timeout.cancel();
-  if (ok) oracle_commit(w.key, w.value.version);
+  if (ok) oracle_.record_commit(w.key, w.value.version, sim_->now());
   account_client(cfg_.message_overhead_bytes, w.cross_origin);
-  const SimDuration back = client_link_delay(st.rng, w.cross_origin);
+  const SimDuration back = client_link_delay(w.cross_origin);
   // The callback and result stay in the record (responded is set, so nothing
   // fires them again); the typed delivery leg hands them to the client and
   // releases the record — or write_ack's lifecycle bookkeeping does, when
   // propagation is still in flight at delivery time.
   w.deliver_ok = ok;
   TypedEvent ev = cluster_event(EventKind::kWriteDeliver, this);
-  ev.shard = static_cast<std::uint8_t>(st.id);
   ev.u.req.h = {h.slot, h.generation};
   sim_->schedule_event(back, ev);
 }
@@ -569,26 +450,23 @@ void Cluster::finish_write(WriteHandle h, bool ok) {
 // the shed result back over the client link. Sheds are not `unavailable` —
 // the replica set could serve, the coordinator chose not to ask it.
 void Cluster::write_shed(WriteHandle h, SimDuration retry_after) {
-  ShardState& st = here();
-  PendingWrite* wp = st.pending_writes.get(h);
+  PendingWrite* wp = pending_writes_.get(h);
   if (wp == nullptr) return;
   PendingWrite& w = *wp;
-  ++st.sheds;
+  ++sheds_;
   account_client(cfg_.message_overhead_bytes, w.cross_origin);
-  const SimDuration back = client_link_delay(st.rng, w.cross_origin);
+  const SimDuration back = client_link_delay(w.cross_origin);
   w.responded = true;
   w.deliver_ok = false;
   w.deliver_shed = true;
   w.deliver_retry_after = retry_after;
   TypedEvent ev = cluster_event(EventKind::kWriteDeliver, this);
-  ev.shard = static_cast<std::uint8_t>(st.id);
   ev.u.req.h = {h.slot, h.generation};
   sim_->schedule_event(back, ev);
 }
 
 void Cluster::write_deliver(WriteHandle h) {
-  ShardState& st = here();
-  PendingWrite* wp = st.pending_writes.get(h);
+  PendingWrite* wp = pending_writes_.get(h);
   if (wp == nullptr) return;
   PendingWrite& w = *wp;
   WriteCallback cb = std::move(w.cb);
@@ -601,7 +479,7 @@ void Cluster::write_deliver(WriteHandle h) {
   // Release before invoking: the callback may issue the client's next
   // operation, and the slot must be reusable by then (as it was when the
   // closure-lane delivery captured the callback and released up front).
-  if (w.completed_targets == w.alive_targets) st.pending_writes.release(h);
+  if (w.completed_targets == w.alive_targets) pending_writes_.release(h);
   cb(result);
 }
 
@@ -609,21 +487,14 @@ void Cluster::write_deliver(WriteHandle h) {
 
 void Cluster::client_read(net::DcId client_dc, Key key, ReplicaRequirement req,
                           ReadCallback cb, net::DcId origin_dc) {
-  ShardState& st = here();  // see client_write
-  HARMONY_CHECK_MSG(!deferred_ ||
-                        st.pending_reads.live() < st.pending_reads.capacity(),
-                    "sharded_slot_reserve exhausted (pending reads)");
-  const auto [h, r] = st.pending_reads.acquire();
+  const auto [h, r] = pending_reads_.acquire();
   r->key = key;
   r->start = sim_->now();
-  oracle_begin_read(r->start);
+  oracle_.begin_read(r->start);
   r->client_dc = client_dc;
   r->needed = req.count;
   r->each_quorum = req.each_quorum;
   r->cross_origin = origin_dc != kSameOrigin && origin_dc != client_dc;
-  HARMONY_CHECK_MSG(!deferred_ || !r->cross_origin,
-                    "cross-origin (DC failover) clients would issue into a "
-                    "foreign shard; serial-only");
   r->cb = std::move(cb);
   // local_only reads restrict the contact set; encode via needed_per_dc.
   if (req.local_only) {
@@ -632,16 +503,14 @@ void Cluster::client_read(net::DcId client_dc, Key key, ReplicaRequirement req,
   }
 
   account_client(cfg_.message_overhead_bytes, r->cross_origin);
-  const SimDuration d = client_link_delay(st.rng, r->cross_origin);
+  const SimDuration d = client_link_delay(r->cross_origin);
   TypedEvent ev = cluster_event(EventKind::kStartRead, this);
-  ev.shard = static_cast<std::uint8_t>(st.id);
   ev.u.req.h = {h.slot, h.generation};
   sim_->schedule_event(d, ev);
 }
 
 void Cluster::start_read(ReadHandle h) {
-  ShardState& st = here();
-  PendingRead* rp = st.pending_reads.get(h);
+  PendingRead* rp = pending_reads_.get(h);
   if (rp == nullptr) return;
   PendingRead& r = *rp;
 
@@ -651,10 +520,9 @@ void Cluster::start_read(ReadHandle h) {
     if (wait > 0) {
       if (cfg_.resilience.admission_mode == AdmissionMode::kDelay &&
           wait <= cfg_.resilience.admission_max_delay) {
-        admission_bucket(r.client_dc).tokens -= 1.0;  // pre-pay (see start_write)
+        admission_[r.client_dc].tokens -= 1.0;  // pre-pay (see start_write)
         r.admitted = true;
         TypedEvent ev = cluster_event(EventKind::kStartRead, this);
-        ev.shard = static_cast<std::uint8_t>(st.id);
         ev.u.req.h = {h.slot, h.generation};
         sim_->schedule_event(wait, ev);
         return;
@@ -664,12 +532,12 @@ void Cluster::start_read(ReadHandle h) {
     }
   }
 
-  r.coord = pick_coordinator(r.client_dc, st.rng);
+  r.coord = pick_coordinator(r.client_dc);
   Node& coord = *nodes_[r.coord];
   const SimDuration coord_delay = coord.service(ServiceKind::kCoordinate, sim_->now());
 
   r.all_replicas = replicas_for(r.key);
-  const ReplicaList ordered = order_for_read(r.coord, r.all_replicas, st.rng);
+  const ReplicaList ordered = order_for_read(r.coord, r.all_replicas);
 
   const bool local_restricted = !r.needed_per_dc.empty() && !r.each_quorum;
   if (r.each_quorum) {
@@ -704,16 +572,15 @@ void Cluster::start_read(ReadHandle h) {
     }
   }
   if (!feasible || r.contacted.empty()) {
-    ++st.unavailable;
+    ++unavailable_;
     account_client(cfg_.message_overhead_bytes, r.cross_origin);
     const SimDuration back =
-        coord_delay + client_link_delay(st.rng, r.cross_origin);
-    oracle_end_read(r.start);
+        coord_delay + client_link_delay(r.cross_origin);
+    oracle_.end_read(r.start);
     // No timeout armed yet; park the record (responded) until delivery.
     r.responded = true;
     r.result = ReadResult{};
     TypedEvent ev = cluster_event(EventKind::kReadDeliver, this);
-    ev.shard = static_cast<std::uint8_t>(st.id);
     ev.u.req.h = {h.slot, h.generation};
     sim_->schedule_event(back, ev);
     return;
@@ -729,14 +596,12 @@ void Cluster::start_read(ReadHandle h) {
     const net::NodeId replica = r.contacted[i];
     const bool data_read = i == 0;  // first (closest) serves data, rest digests
     account(r.coord, replica, cfg_.message_overhead_bytes);
-    const SimDuration d = coord_delay + link_delay(r.coord, replica, st.rng);
-    // The serve leg may outlive the record (finish_read releases as soon as
-    // the read responds), and under sharding it may run on a shard that can
-    // never touch the record: key and coordinator travel in the event.
+    const SimDuration d = coord_delay + link_delay(r.coord, replica);
+    // The served leg may outlive the record (read_deliver releases it), so
+    // key and coordinator travel in the event.
     TypedEvent ev = cluster_event(EventKind::kReadServe, this);
     ev.node = replica;
     ev.flag = data_read ? 1 : 0;
-    ev.shard = shard_of(replica);
     ev.u.serve = {{h.slot, h.generation}, sent_at, r.key, r.coord};
     sim_->schedule_event(d, ev);
   }
@@ -752,7 +617,7 @@ void Cluster::start_read(ReadHandle h) {
   if ((rc.hedge_reads || rc.read_retries > 0) && !r.each_quorum) {
     r.snitch_order = ordered;
     if (rc.hedge_reads && next_untried_replica(r) >= 0) {
-      r.hedge_timer = sim_->schedule(hedge_delay_of(st),
+      r.hedge_timer = sim_->schedule(current_hedge_delay(),
                                      [this, h] { fire_hedge(h); });
     }
   }
@@ -762,33 +627,31 @@ void Cluster::start_read(ReadHandle h) {
 // off and go again instead of failing; `timeouts` counts only requests that
 // exhaust every attempt (a request rescued later is a retry, not a timeout).
 void Cluster::read_timeout(ReadHandle h) {
-  ShardState& st = here();
-  PendingRead* rp = st.pending_reads.get(h);
+  PendingRead* rp = pending_reads_.get(h);
   if (rp == nullptr || rp->responded) return;
   PendingRead& r = *rp;
   const ResilienceConfig& rc = cfg_.resilience;
   if (r.attempts <= rc.read_retries && !r.each_quorum &&
       next_untried_replica(r) >= 0) {
-    ++st.retries;
+    ++retries_;
     const SimDuration backoff =
         rc.retry_backoff * (SimDuration{1} << (r.attempts - 1));
     r.retry_timer = sim_->schedule(backoff, [this, h] { retry_read(h); });
     return;
   }
-  ++st.timeouts;
+  ++timeouts_;
   finish_read(h, false);
 }
 
 void Cluster::retry_read(ReadHandle h) {
-  ShardState& st = here();
-  PendingRead* rp = st.pending_reads.get(h);
+  PendingRead* rp = pending_reads_.get(h);
   if (rp == nullptr || rp->responded) return;
   PendingRead& r = *rp;
   if (!node_alive(r.coord) || next_untried_replica(r) < 0) {
     // Every candidate — or the coordinator itself — died during the backoff
     // window; the request fails as a timeout (a dead coordinator's in-flight
     // state is gone with it).
-    ++st.timeouts;
+    ++timeouts_;
     finish_read(h, false);
     return;
   }
@@ -807,8 +670,7 @@ void Cluster::retry_read(ReadHandle h) {
 }
 
 void Cluster::fire_hedge(ReadHandle h) {
-  ShardState& st = here();
-  PendingRead* rp = st.pending_reads.get(h);
+  PendingRead* rp = pending_reads_.get(h);
   if (rp == nullptr || rp->responded) return;
   PendingRead& r = *rp;
   // A dead coordinator cannot send a backup leg; the attempt timeout will
@@ -816,7 +678,7 @@ void Cluster::fire_hedge(ReadHandle h) {
   if (!node_alive(r.coord)) return;
   const int cand = next_untried_replica(r);
   if (cand < 0) return;
-  ++st.hedges_fired;
+  ++hedges_fired_;
   r.hedged = true;
   r.hedge_replica = static_cast<net::NodeId>(cand);
   send_read_leg(h, r.hedge_replica);
@@ -853,8 +715,7 @@ int Cluster::next_untried_replica(const PendingRead& r) const {
 // leg must be able to supply the value if the original data read is the one
 // that is slow or lost.
 void Cluster::send_read_leg(ReadHandle h, net::NodeId replica) {
-  ShardState& st = here();
-  PendingRead* rp = st.pending_reads.get(h);
+  PendingRead* rp = pending_reads_.get(h);
   if (rp == nullptr) return;
   PendingRead& r = *rp;
   r.contacted.push_back(replica);
@@ -862,35 +723,34 @@ void Cluster::send_read_leg(ReadHandle h, net::NodeId replica) {
   const SimDuration coord_delay =
       coord.service(ServiceKind::kCoordinate, sim_->now());
   account(r.coord, replica, cfg_.message_overhead_bytes);
-  const SimDuration d = coord_delay + link_delay(r.coord, replica, st.rng);
+  const SimDuration d = coord_delay + link_delay(r.coord, replica);
   TypedEvent ev = cluster_event(EventKind::kReadServe, this);
   ev.node = replica;
   ev.flag = 1;
-  ev.shard = shard_of(replica);
   ev.u.serve = {{h.slot, h.generation}, sim_->now() + coord_delay, r.key,
                 r.coord};
   sim_->schedule_event(d, ev);
 }
 
-void Cluster::observe_read_rtt(ShardState& st, SimDuration rtt) {
-  st.hedge_rtt.record(rtt);
-  const std::uint64_t c = st.hedge_rtt.count();
+void Cluster::observe_read_rtt(SimDuration rtt) {
+  hedge_rtt_.record(rtt);
+  const std::uint64_t c = hedge_rtt_.count();
   // Recompute the cached quantile every 64 samples (and once warm at 32) so
   // the percentile scan stays off the per-response path.
   if (c == 32 || (c & 63) == 0) {
-    st.hedge_delay_cached =
+    hedge_delay_cached_ =
         std::max(cfg_.resilience.hedge_min_delay,
-                 st.hedge_rtt.percentile(cfg_.resilience.hedge_quantile * 100.0));
+                 hedge_rtt_.percentile(cfg_.resilience.hedge_quantile * 100.0));
   }
 }
 
 SimDuration Cluster::admit(net::DcId dc) {
-  // Rate and burst live in the bucket: per DC per shard of that DC (1/S of
-  // the DC's configuration).
-  TokenBucket& b = admission_bucket(dc);
+  const ResilienceConfig& rc = cfg_.resilience;
+  TokenBucket& b = admission_[dc];
   const SimTime now = sim_->now();
-  b.tokens = std::min(
-      b.burst, b.tokens + static_cast<double>(now - b.last) * b.rate / 1e6);
+  b.tokens = std::min(rc.admission_burst,
+                      b.tokens + static_cast<double>(now - b.last) *
+                                     rc.admission_rate / 1e6);
   b.last = now;
   if (b.tokens >= 1.0) {
     b.tokens -= 1.0;
@@ -898,25 +758,23 @@ SimDuration Cluster::admit(net::DcId dc) {
   }
   // Time until the bucket covers one token; doubles as the shed retry-after.
   const double deficit = 1.0 - b.tokens;
-  return static_cast<SimDuration>(deficit * 1e6 / b.rate) + 1;
+  return static_cast<SimDuration>(deficit * 1e6 / rc.admission_rate) + 1;
 }
 
 void Cluster::read_shed(ReadHandle h, SimDuration retry_after) {
-  ShardState& st = here();
-  PendingRead* rp = st.pending_reads.get(h);
+  PendingRead* rp = pending_reads_.get(h);
   if (rp == nullptr) return;
   PendingRead& r = *rp;
-  ++st.sheds;
+  ++sheds_;
   account_client(cfg_.message_overhead_bytes, r.cross_origin);
-  const SimDuration back = client_link_delay(st.rng, r.cross_origin);
-  oracle_end_read(r.start);
+  const SimDuration back = client_link_delay(r.cross_origin);
+  oracle_.end_read(r.start);
   // No timeout armed yet; park the record (responded) until delivery.
   r.responded = true;
   r.result = ReadResult{};
   r.result.shed = true;
   r.result.retry_after = retry_after;
   TypedEvent ev = cluster_event(EventKind::kReadDeliver, this);
-  ev.shard = static_cast<std::uint8_t>(st.id);
   ev.u.req.h = {h.slot, h.generation};
   sim_->schedule_event(back, ev);
 }
@@ -924,25 +782,18 @@ void Cluster::read_shed(ReadHandle h, SimDuration retry_after) {
 void Cluster::replica_serve_read(ReadHandle h, net::NodeId replica,
                                  bool data_read, SimTime sent_at, Key key,
                                  net::NodeId coord) {
-  if (!deferred_) {
-    // A responded record is only parked for its delivery leg; late serve legs
-    // must treat it exactly like the released record they used to find. Under
-    // sharding the record may live on a shard this one must not read, so the
-    // leg always serves — the response is dropped home-side instead (the
-    // store read and accounting happen either way; replica-op counts under
-    // shard_count > 1 include these late serves).
-    PendingRead* rp = shards_[0]->pending_reads.get(h);
-    if (rp == nullptr || rp->responded) return;
-  }
+  // A responded record is only parked for its delivery leg; late serve legs
+  // must treat it exactly like the released record they used to find.
+  PendingRead* rp = pending_reads_.get(h);
+  if (rp == nullptr || rp->responded) return;
   if (!node_alive(replica)) return;  // no response; coordinator timeout handles it
   Node& n = *nodes_[replica];
   const SimDuration svc =
       n.service(data_read ? ServiceKind::kRead : ServiceKind::kDigest, sim_->now());
-  ++here().replica_ops;
+  ++replica_ops_;
   TypedEvent ev = cluster_event(EventKind::kReadServed, this);
   ev.node = replica;
   ev.flag = data_read ? 1 : 0;
-  ev.shard = shard_of(replica);
   ev.u.served = {{h.slot, h.generation}, sent_at, key, coord};
   sim_->schedule_event(svc, ev);
 }
@@ -957,11 +808,10 @@ void Cluster::read_serve_done(ReadHandle h, net::NodeId replica, Key key,
       cfg_.message_overhead_bytes +
       (data_read && found ? value.size_bytes : cfg_.digest_bytes);
   account(replica, coord, bytes);
-  const SimDuration back = link_delay(replica, coord, here().rng);
+  const SimDuration back = link_delay(replica, coord);
   TypedEvent ev = cluster_event(EventKind::kReadResponse, this);
   ev.node = replica;
   ev.flag = found ? 1 : 0;
-  ev.shard = shard_of(coord);
   // rtt is fully determined here (delivery = now + back), so precompute it
   // instead of carrying sent_at one hop further.
   ev.u.resp = {{h.slot, h.generation},
@@ -974,11 +824,10 @@ void Cluster::read_serve_done(ReadHandle h, net::NodeId replica, Key key,
 
 void Cluster::read_response(ReadHandle h, net::NodeId replica, bool found,
                             VersionedValue value, SimDuration rtt) {
-  ShardState& st = here();
   // Hedge-delay quantile input: every response leg counts, including late
   // ones — the slow tail is exactly what the quantile must see.
-  if (cfg_.resilience.hedge_reads) observe_read_rtt(st, rtt);
-  PendingRead* rp = st.pending_reads.get(h);
+  if (cfg_.resilience.hedge_reads) observe_read_rtt(rtt);
+  PendingRead* rp = pending_reads_.get(h);
   // Records parked for delivery (responded) count as gone, as when the
   // closure-lane delivery released them before this late response arrived.
   const bool live = rp != nullptr && !rp->responded;
@@ -1015,14 +864,13 @@ void Cluster::read_response(ReadHandle h, net::NodeId replica, bool found,
   if (met) {
     // A hedge "wins" when the backup leg is the response that completes the
     // read — the original slowest leg would have blown the latency budget.
-    if (r.hedged && replica == r.hedge_replica) ++st.hedge_wins;
+    if (r.hedged && replica == r.hedge_replica) ++hedge_wins_;
     finish_read(h, true);
   }
 }
 
 void Cluster::finish_read(ReadHandle h, bool ok) {
-  ShardState& st = here();
-  PendingRead* rp = st.pending_reads.get(h);
+  PendingRead* rp = pending_reads_.get(h);
   if (rp == nullptr) return;
   PendingRead& r = *rp;
   r.responded = true;
@@ -1048,7 +896,7 @@ void Cluster::finish_read(ReadHandle h, bool ok) {
       }
       // Global read repair: with configured chance also push to replicas we
       // did not contact (their versions are unknown; LWW makes it idempotent).
-      if (cfg_.read_repair_chance > 0 && st.rng.chance(cfg_.read_repair_chance)) {
+      if (cfg_.read_repair_chance > 0 && rng_.chance(cfg_.read_repair_chance)) {
         for (const net::NodeId n : r.all_replicas) {
           const bool contacted =
               std::find(r.contacted.begin(), r.contacted.end(), n) !=
@@ -1064,7 +912,7 @@ void Cluster::finish_read(ReadHandle h, bool ok) {
   account_client(cfg_.message_overhead_bytes +
                      (result.found ? result.value_size : 0),
                  r.cross_origin);
-  const SimDuration back = client_link_delay(st.rng, r.cross_origin);
+  const SimDuration back = client_link_delay(r.cross_origin);
   // Judge now rather than at delivery: any commit recorded between here and
   // the client callback is newer than this read's start, so the judgement is
   // the same either way — and ending the read lets the oracle fold history.
@@ -1072,37 +920,34 @@ void Cluster::finish_read(ReadHandle h, bool ok) {
     oracle_judge_end(r.key, result.found ? result.version : kNoVersion,
                      r.start, &result);
   } else {
-    oracle_end_read(r.start);
+    oracle_.end_read(r.start);
   }
   // Result and callback wait in the record for the typed delivery leg
   // (responded is set, so late responses leave them alone).
   r.result = result;
   TypedEvent ev = cluster_event(EventKind::kReadDeliver, this);
-  ev.shard = static_cast<std::uint8_t>(st.id);
   ev.u.req.h = {h.slot, h.generation};
   sim_->schedule_event(back, ev);
 }
 
 void Cluster::read_deliver(ReadHandle h) {
-  ShardState& st = here();
-  PendingRead* rp = st.pending_reads.get(h);
+  PendingRead* rp = pending_reads_.get(h);
   if (rp == nullptr) return;
   ReadCallback cb = std::move(rp->cb);
   const ReadResult result = rp->result;
   // Release before invoking: the callback may issue the client's next
   // operation (see write_deliver).
-  st.pending_reads.release(h);
+  pending_reads_.release(h);
   cb(result);
 }
 
 void Cluster::send_repair(net::NodeId coord, net::NodeId target, Key key,
                           const VersionedValue& value) {
-  ShardState& st = here();
-  ++st.read_repairs;
+  ++read_repairs_;
   account(coord, target, cfg_.message_overhead_bytes + value.size_bytes);
-  const SimDuration d = link_delay(coord, target, st.rng);
-  sim_->schedule_event(d, kv_event(EventKind::kRepairArrive, this, target, key,
-                                   value, shard_of(target)));
+  const SimDuration d = link_delay(coord, target);
+  sim_->schedule_event(
+      d, kv_event(EventKind::kRepairArrive, this, target, key, value));
 }
 
 void Cluster::repair_arrive(net::NodeId target, Key key,
@@ -1110,9 +955,9 @@ void Cluster::repair_arrive(net::NodeId target, Key key,
   if (!node_alive(target)) return;
   Node& n = *nodes_[target];
   const SimDuration svc = n.service(ServiceKind::kWrite, sim_->now());
-  ++here().replica_ops;
-  sim_->schedule_event(svc, kv_event(EventKind::kRepairApply, this, target,
-                                     key, value, shard_of(target)));
+  ++replica_ops_;
+  sim_->schedule_event(
+      svc, kv_event(EventKind::kRepairApply, this, target, key, value));
 }
 
 void Cluster::repair_apply(net::NodeId target, Key key,
@@ -1120,226 +965,48 @@ void Cluster::repair_apply(net::NodeId target, Key key,
   nodes_[target]->store().apply(key, value);
 }
 
-// ------------------------------------------------------------ oracle sink
-
-// The staleness oracle is global state with monotonicity contracts. With one
-// shard every oracle touch applies at once. With several, a shard cannot call
-// it mid-window: every touch appends to the executing shard's log, stamped
-// with the event's (time, seq), and the window-barrier hook K-way-merges the
-// logs in that order — which IS the one-shard call order (per-shard logs are
-// time-sorted by construction, and seq streams are disjoint residues mod K,
-// so cross-shard ties cannot happen). Both routes apply through
-// apply_oracle_op.
-
-StalenessOracle::Judgement Cluster::oracle_sink(const OracleOp& op) {
-  if (!deferred_) return apply_oracle_op(op);
-  // Amortized per-shard log append (vector growth), recycled by the barrier
-  // hook; sharded runs only — the alloc-pinned request path applies at once
-  // (alloc_guard runs on one shard). The judgement lands at the next
-  // barrier, after the read was delivered: it stays fresh (the caller's
-  // ReadResult::stale is false); the oracle's aggregate counters are exact.
-  here().oracle_log.push_back(op);
-  return {};
-}
-
-StalenessOracle::Judgement Cluster::apply_oracle_op(const OracleOp& op) {
-  StalenessOracle::Judgement judgement;
-  switch (op.kind) {
-    case OracleOp::Kind::kCommit:
-      oracle_.record_commit(op.key, op.version, op.at);
-      break;
-    case OracleOp::Kind::kBeginRead:
-      oracle_.begin_read(op.read_start);
-      break;
-    case OracleOp::Kind::kEndRead:
-      oracle_.end_read(op.read_start);
-      break;
-    case OracleOp::Kind::kJudgeEnd:
-      judgement = oracle_.judge(op.key, op.version, op.read_start);
-      oracle_.end_read(op.read_start);
-      break;
-  }
-  return judgement;
-}
-
-void Cluster::oracle_commit(Key key, const Version& version) {
-  oracle_sink({sim_->now(), sim_->current_seq(), key, version, 0,
-               OracleOp::Kind::kCommit});
-}
-
-void Cluster::oracle_begin_read(SimTime read_start) {
-  oracle_sink({sim_->now(), sim_->current_seq(), 0, kNoVersion, read_start,
-               OracleOp::Kind::kBeginRead});
-}
-
-void Cluster::oracle_end_read(SimTime read_start) {
-  oracle_sink({sim_->now(), sim_->current_seq(), 0, kNoVersion, read_start,
-               OracleOp::Kind::kEndRead});
-}
+// ------------------------------------------------- oracle and observer calls
 
 void Cluster::oracle_judge_end(Key key, const Version& returned,
                                SimTime read_start, ReadResult* result) {
-  const auto judgement =
-      oracle_sink({sim_->now(), sim_->current_seq(), key, returned,
-                   read_start, OracleOp::Kind::kJudgeEnd});
+  const auto judgement = oracle_.judge(key, returned, read_start);
+  oracle_.end_read(read_start);
   result->stale = judgement.stale;
   result->staleness_age = judgement.age;
 }
 
-void Cluster::barrier_hook(void* ctx, SimTime safe_time) {
-  Cluster* c = static_cast<Cluster*>(ctx);
-  c->merge_shard_logs(&ShardState::oracle_log, &ShardState::oracle_pos,
-                      safe_time,
-                      [c](const OracleOp& op) { c->apply_oracle_op(op); });
-  if (c->observer_ != nullptr) {
-    c->merge_shard_logs(&ShardState::monitor_log, &ShardState::monitor_pos,
-                        safe_time, [c](const LoggedMonitorOp& logged) {
-                          MonitorOp op = logged;
-                          op.delays = &logged.owned_delays;
-                          c->apply_monitor_op(op);
-                        });
-  }
-  // Cross-shard aggregates (net_stats) memoize on the barrier epoch: bumping
-  // it here invalidates the merged snapshot exactly when per-shard state may
-  // have advanced.
-  ++c->barrier_epoch_;
-}
-
-template <typename Op, typename Apply>
-void Cluster::merge_shard_logs(std::vector<Op> ShardState::*log,
-                               std::size_t ShardState::*pos,
-                               SimTime safe_time, Apply&& apply) {
-  // Every op dated strictly before the barrier's safe time is final on its
-  // shard (no event before safe_time remains).
-  for (;;) {
-    ShardState* best = nullptr;
-    const Op* best_op = nullptr;
-    for (const auto& sp : shards_) {
-      ShardState& st = *sp;
-      if (st.*pos >= (st.*log).size()) continue;
-      const Op& op = (st.*log)[st.*pos];
-      if (op.at >= safe_time) continue;  // logs are time-sorted: shard done
-      // Strictly-less keeps the lowest shard on (at, seq) ties (only
-      // setup-time ops can tie across shards; they carry seq 0).
-      if (best_op != nullptr &&
-          !(op.at < best_op->at ||
-            (op.at == best_op->at && op.seq < best_op->seq))) {
-        continue;
-      }
-      best = &st;
-      best_op = &op;
-    }
-    if (best == nullptr) break;
-    ++(best->*pos);
-    apply(*best_op);
-  }
-  for (const auto& sp : shards_) {
-    ShardState& st = *sp;
-    if (st.*pos == (st.*log).size() && st.*pos > 0) {
-      (st.*log).clear();
-      st.*pos = 0;
-    }
-  }
-}
-
-// ---------------------------------------------------------- observer sink
-
-// The observer (monitor/monitor.h) couples all six callback kinds through one
-// last-event timestamp and one reservoir RNG, so it sees the same stream the
-// oracle does: applied at once with one shard; with several, logged per
-// shard and replayed by the barrier hook in (time, seq) order — the
-// one-shard call order — with the op's own timestamp as `now`.
-
-void Cluster::monitor_sink(const MonitorOp& op) {
-  if (!deferred_) {
-    apply_monitor_op(op);
-    return;
-  }
-  // Amortized per-shard log append (vector growth), recycled by the barrier
-  // hook; sharded runs only (see oracle_sink).
-  here().monitor_log.push_back(
-      {op, op.delays != nullptr ? *op.delays : DelayList{}});
-}
-
-void Cluster::apply_monitor_op(const MonitorOp& op) {
-  switch (op.kind) {
-    case MonitorOp::Kind::kReadIssued:
-      observer_->record_read_issued(op.start, op.key);
-      break;
-    case MonitorOp::Kind::kWriteIssued:
-      observer_->record_write_issued(op.at, op.key, op.size);
-      break;
-    case MonitorOp::Kind::kReadComplete:
-      observer_->record_read_complete(op.at, op.dur);
-      break;
-    case MonitorOp::Kind::kWriteComplete:
-      observer_->record_write_complete(op.at, op.dur);
-      break;
-    case MonitorOp::Kind::kWritePropagated:
-      observer_->on_write_propagated(op.key, op.start, *op.delays);
-      break;
-    case MonitorOp::Kind::kReplicaReadRtt:
-      observer_->on_replica_read_rtt(op.replica, op.dur, op.cross_dc);
-      break;
-  }
-}
-
-Cluster::MonitorOp Cluster::monitor_op(MonitorOp::Kind kind) const {
-  MonitorOp op;
-  op.at = sim_->now();
-  op.seq = sim_->current_seq();
-  op.kind = kind;
-  return op;
-}
-
 void Cluster::record_read_issued(SimTime at, Key key) {
-  if (observer_ == nullptr) return;
-  MonitorOp op = monitor_op(MonitorOp::Kind::kReadIssued);
-  op.key = key;
-  op.start = at;
-  monitor_sink(op);
+  if (observer_ != nullptr) observer_->record_read_issued(at, key);
 }
 
 void Cluster::record_write_issued(Key key, std::uint32_t value_size) {
-  if (observer_ == nullptr) return;
-  MonitorOp op = monitor_op(MonitorOp::Kind::kWriteIssued);
-  op.key = key;
-  op.size = value_size;
-  monitor_sink(op);
+  if (observer_ != nullptr) {
+    observer_->record_write_issued(sim_->now(), key, value_size);
+  }
 }
 
 void Cluster::record_read_complete(SimDuration latency) {
-  if (observer_ == nullptr) return;
-  MonitorOp op = monitor_op(MonitorOp::Kind::kReadComplete);
-  op.dur = latency;
-  monitor_sink(op);
+  if (observer_ != nullptr) observer_->record_read_complete(sim_->now(), latency);
 }
 
 void Cluster::record_write_complete(SimDuration latency) {
-  if (observer_ == nullptr) return;
-  MonitorOp op = monitor_op(MonitorOp::Kind::kWriteComplete);
-  op.dur = latency;
-  monitor_sink(op);
+  if (observer_ != nullptr) {
+    observer_->record_write_complete(sim_->now(), latency);
+  }
 }
 
 void Cluster::observer_write_propagated(Key key, SimTime write_start,
                                         const DelayList& delays) {
-  if (observer_ == nullptr) return;
-  MonitorOp op = monitor_op(MonitorOp::Kind::kWritePropagated);
-  op.key = key;
-  op.start = write_start;
-  op.delays = &delays;
-  monitor_sink(op);
+  if (observer_ != nullptr) {
+    observer_->on_write_propagated(key, write_start, delays);
+  }
 }
 
 void Cluster::observer_replica_read_rtt(net::NodeId replica, SimDuration rtt,
                                         bool cross_dc) {
-  if (observer_ == nullptr) return;
-  MonitorOp op = monitor_op(MonitorOp::Kind::kReplicaReadRtt);
-  op.replica = replica;
-  op.dur = rtt;
-  op.cross_dc = cross_dc;
-  monitor_sink(op);
+  if (observer_ != nullptr) {
+    observer_->on_replica_read_rtt(replica, rtt, cross_dc);
+  }
 }
 
 // ------------------------------------------------------------ failures
@@ -1370,20 +1037,10 @@ void Cluster::revive_dc(net::DcId dc) {
 }
 
 void Cluster::schedule_fault(const FaultSpec& f) {
-  // DC-scoped blackouts force cross-DC coordinator failover, which a sharded
-  // run cannot express (requests may not leave their shard).
-  HARMONY_CHECK_MSG(
-      !deferred_ ||
-          (f.op != FaultOp::kDcBlackout && f.op != FaultOp::kDcRestore),
-      "DC blackout faults are serial-only (coordinators must stay in the "
-      "client's DC under shard_count > 1)");
   TypedEvent ev = cluster_event(EventKind::kFault, this);
   ev.node = f.node;
   ev.u.fault = {static_cast<std::uint32_t>(f.op),
                 static_cast<std::uint32_t>(f.dc), f.factor};
-  // Faults mutate cross-shard state (liveness, link multipliers); the instant
-  // becomes a fence so the action executes merged-serial.
-  sim_->register_fence(f.at);
   sim_->schedule_event_at(f.at, ev);
 }
 
@@ -1424,33 +1081,26 @@ void Cluster::refresh_links_degraded() {
 }
 
 void Cluster::replay_hints(net::NodeId target) {
-  // Hints are stored sender-side, so the revived node's backlog is spread
-  // over every shard's store; drain them in shard order. Revive runs at a
-  // fenced instant (or unsharded), so the cross-shard scan — and the paced
-  // sub-lookahead deliveries below — push directly into the target's queue.
+  // Paced replay: one mutation per 200us, as a hint queue drain would be.
   SimDuration delay = 0;
-  for (const auto& sp : shards_) {
-    auto hints = sp->hints.take(target);
-    // Paced replay: one mutation per 200us, as a hint queue drain would be.
-    for (auto& h : hints) {
-      delay += usec(200);
-      account(target, target, cfg_.message_overhead_bytes + h.value.size_bytes);
-      sim_->schedule_event(delay, kv_event(EventKind::kHintDeliver, this,
-                                           target, h.key, h.value,
-                                           shard_of(target)));
-    }
+  const auto pending = hints_.take(target);
+  for (const auto& h : pending) {
+    delay += usec(200);
+    account(target, target, cfg_.message_overhead_bytes + h.value.size_bytes);
+    sim_->schedule_event(delay, kv_event(EventKind::kHintDeliver, this, target,
+                                         h.key, h.value));
   }
 }
 
 void Cluster::hint_deliver(net::NodeId target, Key key,
                            const VersionedValue& value) {
   if (!node_alive(target)) {
-    here().hints.add(target, key, value);  // went down again: re-hint
+    hints_.add(target, key, value);  // went down again: re-hint
     return;
   }
   Node& n = *nodes_[target];
   n.service(ServiceKind::kWrite, sim_->now());
-  ++here().replica_ops;
+  ++replica_ops_;
   n.store().apply(key, value);
 }
 
@@ -1459,55 +1109,15 @@ void Cluster::anti_entropy_sweep() {
   // stored version and push the newest to stragglers. Messaging costs are
   // charged like regular repairs (digest per replica + repair writes).
   anti_entropy_scheduled_ = false;
-  std::size_t budget = cfg_.anti_entropy_keys_per_round;
-  if (!deferred_) {
-    sweep_shard_dirty(*shards_[0], budget);
-    if (!shards_[0]->dirty_keys.empty() && !anti_entropy_scheduled_) {
-      anti_entropy_scheduled_ = true;
-      sim_->schedule_event(cfg_.anti_entropy_period,
-                           cluster_event(EventKind::kAntiEntropySweep, this));
-    }
-    return;
-  }
-  // Sharded: this instant is a fence, so we run merged-serial and may touch
-  // every shard's replica state; walk the per-shard dirty sets in shard-id
-  // order under one global budget. The sweep stays armed as long as any
-  // events remain (dirty sets refill between rounds), which keeps arming
-  // eager — a fence must be registered from outside a window, so the lazy
-  // "arm on first dirty key" trick of the serial path cannot work here.
-  for (auto& sp : shards_) {
-    if (budget == 0) break;
-    budget -= sweep_shard_dirty(*sp, budget);
-  }
-  // Re-arm while repair work remains (budget-deferred dirty keys) or the
-  // queue still holds events that can dirty more. The workload's fenced
-  // policy tick stops on its own client-drain criterion rather than on
-  // sim idleness, so the two self-re-arming fence sources cannot hold each
-  // other live past the end of the run.
-  bool dirty = false;
-  for (const auto& sp : shards_) dirty |= !sp->dirty_keys.empty();
-  if (dirty || !sim_->idle()) {
-    arm_anti_entropy_fence(sim_->now() + cfg_.anti_entropy_period);
-  }
-}
-
-std::size_t Cluster::sweep_shard_dirty(ShardState& st, std::size_t budget) {
   std::size_t repaired = 0;
   // lint: allow(determinism-unordered-iter): order is stdlib-dependent but
   // fixed for a given build+insertion sequence, and the diff harness pins it
-  // byte-for-byte; sharded runs sweep at fenced merged-serial instants, so
-  // the insertion sequence itself is thread-count-invariant.
-  auto it = st.dirty_keys.begin();
-  while (it != st.dirty_keys.end() && repaired < budget) {
+  // byte-for-byte.
+  auto it = dirty_keys_.begin();
+  while (it != dirty_keys_.end() && repaired < cfg_.anti_entropy_keys_per_round) {
     const Key key = *it;
-    it = st.dirty_keys.erase(it);
+    it = dirty_keys_.erase(it);
     ++repaired;
-    // A key whose replicas span several shards is dirty in each of them;
-    // repairing it once repairs every replica, so drop the duplicates
-    // (reproduces the single-global-set semantics of one shard).
-    for (auto& other : shards_) {
-      if (other.get() != &st) other->dirty_keys.erase(key);
-    }
 
     const auto replicas = replicas_for(key);
     Version newest = kNoVersion;
@@ -1515,7 +1125,7 @@ std::size_t Cluster::sweep_shard_dirty(ShardState& st, std::size_t budget) {
     for (const net::NodeId r : replicas) {
       if (!nodes_[r]->alive()) continue;
       const auto v = nodes_[r]->store().read(key);
-      ++here().replica_ops;
+      ++replica_ops_;
       account(replicas.front(), r, cfg_.message_overhead_bytes + cfg_.digest_bytes);
       if (v.has_value() && v->version.newer_than(newest)) {
         newest = v->version;
@@ -1533,15 +1143,11 @@ std::size_t Cluster::sweep_shard_dirty(ShardState& st, std::size_t budget) {
       }
     }
   }
-  return repaired;
-}
-
-void Cluster::arm_anti_entropy_fence(SimTime at) {
-  // Sweeps mutate replica stores across shards, so each sweep instant is a
-  // fence (merged-serial). Registration happens at setup or inside a prior
-  // fence — never mid-window — which register_fence enforces.
-  sim_->register_fence(at);
-  sim_->schedule_event_at(at, cluster_event(EventKind::kAntiEntropySweep, this));
+  if (!dirty_keys_.empty()) {
+    anti_entropy_scheduled_ = true;
+    sim_->schedule_event(cfg_.anti_entropy_period,
+                         cluster_event(EventKind::kAntiEntropySweep, this));
+  }
 }
 
 // ------------------------------------------------------------ typed dispatch
@@ -1553,15 +1159,14 @@ void Cluster::dispatch_event(const sim::TypedEvent& ev) {
       c->start_write({ev.u.req.h.slot, ev.u.req.h.gen});
       break;
     case EventKind::kWriteApply:
-      c->replica_apply_write({ev.u.req.h.slot, ev.u.req.h.gen}, ev.node,
-                             ev.home);
+      c->replica_apply_write({ev.u.req.h.slot, ev.u.req.h.gen}, ev.node);
       break;
     case EventKind::kWriteApplied:
-      c->write_apply_done({ev.u.req.h.slot, ev.u.req.h.gen}, ev.node, ev.home);
+      c->write_apply_done({ev.u.req.h.slot, ev.u.req.h.gen}, ev.node);
       break;
     case EventKind::kWriteAck:
       c->write_ack({ev.u.ack.h.slot, ev.u.ack.h.gen}, ev.node,
-                   ev.u.ack.apply_delay, ev.flag != 0);
+                   ev.u.ack.apply_delay);
       break;
     case EventKind::kStartRead:
       c->start_read({ev.u.req.h.slot, ev.u.req.h.gen});

@@ -33,42 +33,9 @@
 //     whole-DC blackout, per-node / WAN latency degradation windows) ride
 //     the typed event lane, so every fault scenario is seed-reproducible.
 //
-// Sharded execution (docs/INVARIANTS.md "Cross-shard determinism"): the
-// owning Simulation's event shards are laid out by a ShardMap
-// (cluster/shard_map.h) — all DCs on one shard, or every DC split into the
-// same number S of key-range shards over TokenRing token ranges. The cluster
-// routes every typed event to the shard owning the state its handler
-// touches and keeps ALL mutable request-path state per shard (ShardState
-// below): RNG stream, pending-request pools, hint store, net/latency stats,
-// counters, anti-entropy dirty set. Placement (the per-arc replica table) is
-// immutable after construction and shared by every shard. An operation on
-// key k from DC d executes on ShardMap::home_shard(d, k); replicas of one
-// key may live on *other* shards of the same DC, so write fan-out legs can be
-// intra-DC cross-shard events — the configured lookahead must therefore be a
-// floor on every link class that can cross shards (ShardMap::lookahead; the
-// ctor checks it). With several shards, cross-shard interaction
-// happens only through scheduled events with at least that delay, plus the
-// carefully-fenced exceptions:
-//   * write legs executing on a replica's shard read the *pinned* fields of
-//     the home shard's pending record (key/value/coord/start — written before
-//     fan-out, immutable until every leg completed; pools are pre-grown so
-//     the slab never moves under a reader);
-//   * the ground-truth staleness oracle is global, so sharded runs append
-//     per-shard op logs that the window-barrier hook merges by (time, seq) —
-//     exactly the serial call order. ReadResult.stale is not populated under
-//     shard_count > 1 (the judgement may not have been applied yet when the
-//     client callback fires); aggregate oracle counters remain exact;
-//   * observer/monitor callbacks defer the same way: every hook appends to
-//     the executing shard's monitor log (one log for all six callback kinds
-//     — the monitor couples them through one last-event timestamp), and the
-//     barrier hook replays the merged stream into the attached
-//     ClusterObserver in exact serial order, so set_observer is legal under
-//     sharding;
-//   * anti-entropy keeps one dirty-key set per shard and runs its sweeps
-//     merged-serial at fenced instants every anti_entropy_period.
-// Remaining restrictions under shard_count > 1, each enforced by a contract
-// check: coordinators stay in the client's DC (no cross-DC failover
-// re-routing, no DC blackout faults), degrade factors >= 1.
+// Every request-path mutation runs on the owning Simulation's one event
+// queue; the staleness oracle and the attached observer are called at once,
+// in event order (docs/INVARIANTS.md "One-queue determinism").
 #pragma once
 
 #include <cstdint>
@@ -80,7 +47,6 @@
 #include "cluster/consistency.h"
 #include "cluster/hinted_handoff.h"
 #include "cluster/node.h"
-#include "cluster/shard_map.h"
 #include "cluster/staleness_oracle.h"
 #include "cluster/token_ring.h"
 #include "cluster/versioned_value.h"
@@ -117,11 +83,8 @@ class ClusterObserver {
   }
 
   // Client-side measurement hooks (monitor/monitor.h implements them). The
-  // workload layer reaches them only through Cluster::record_*, serial or
-  // sharded: unsharded calls forward here at once; sharded ones join the
-  // per-shard monitor log and replay here — interleaved with the
-  // replica-side hooks above in exact (time, seq) order — at window
-  // barriers.
+  // workload layer reaches them only through Cluster::record_*, which
+  // forwards here at once.
   virtual void record_read_issued(SimTime now, Key key) {
     (void)now; (void)key;
   }
@@ -152,9 +115,7 @@ enum class FaultOp : std::uint8_t {
 
 /// One deterministic fault-schedule entry. Rides the typed event lane
 /// (sim::EventKind::kFault), so fault timing interleaves with request traffic
-/// in exact (time, seq) order and every scenario is seed-reproducible. Under
-/// sharded execution every fault instant is a fence: the executor runs it
-/// merged-serial, so the cross-shard state mutation is safe and ordered.
+/// in exact (time, seq) order and every scenario is seed-reproducible.
 struct FaultSpec {
   SimTime at = 0;
   FaultOp op = FaultOp::kKillNode;
@@ -222,19 +183,9 @@ struct ClusterConfig {
   /// Anti-entropy: every period, repair the keys written since the last
   /// sweep (digest reads on every replica, then LWW repair of stale ones).
   /// 0 disables (read repair + hints remain the only convergence paths).
-  /// Sharded runs keep one dirty set per shard and run the sweep
-  /// merged-serial at fenced instants every period (the sweep walks every
-  /// replica), re-armed while the simulation still has pending events.
   SimDuration anti_entropy_period = 0;
   /// Cap on keys repaired per sweep (bounds repair burst size).
   std::size_t anti_entropy_keys_per_round = 512;
-
-  /// Sharded execution: per-shard pending-request pools are pre-grown to
-  /// this many slots at construction, so remote shards reading pinned write
-  /// records never race pool growth (the slab never moves). Exhausting the
-  /// reserve is a loud contract failure — raise it for extreme in-flight
-  /// request counts.
-  std::uint32_t sharded_slot_reserve = 4096;
 
   /// Hedging / retry / admission knobs (all off by default).
   ResilienceConfig resilience{};
@@ -252,10 +203,7 @@ struct ReadResult {
   Version version = kNoVersion;
   std::uint32_t value_size = 0;
   int replicas_contacted = 0;
-  /// Oracle ground truth. Only populated when shard_count == 1: a sharded
-  /// run applies the merged oracle log at window barriers, which may be
-  /// after this result was delivered. Aggregate counters stay exact.
-  bool stale = false;
+  bool stale = false;             ///< oracle ground truth
   SimDuration staleness_age = 0; ///< oracle ground truth (0 when fresh)
   SimDuration retry_after = 0;   ///< when shed: earliest useful re-issue delay
 };
@@ -316,9 +264,7 @@ class Cluster {
   /// True while at least one node in `dc` is alive (client re-routing poll).
   bool dc_alive(net::DcId dc) const { return alive_per_dc_[dc] > 0; }
 
-  /// Schedule one scripted fault action on the typed event lane. Under
-  /// sharded execution the instant is registered as a fence (the action
-  /// mutates cross-shard state), so call before the run starts.
+  /// Schedule one scripted fault action on the typed event lane.
   void schedule_fault(const FaultSpec& f);
 
   // ---- introspection -----------------------------------------------------
@@ -327,112 +273,57 @@ class Cluster {
   const TokenRing& ring() const { return ring_; }
   StalenessOracle& oracle() { return oracle_; }
   const StalenessOracle& oracle() const { return oracle_; }
-  /// Network traffic summed over all shards. A single shard's stats are
-  /// returned directly; multi-shard runs merge into a cached copy memoized
-  /// on the window-barrier epoch — per-shard stats only change inside a
-  /// window, and callers read between windows or after the run, so the merge
-  /// runs once per barrier at most instead of once per call. Epoch 0 (before
-  /// the first barrier, i.e. during setup) always re-merges. The reference
-  /// is valid until the next call.
-  const net::NetStats& net_stats() const {
-    if (shards_.size() == 1) return shards_[0]->net_stats;
-    if (barrier_epoch_ == 0 || net_stats_epoch_ != barrier_epoch_) {
-      net_stats_merged_.reset();
-      for (const auto& s : shards_) net_stats_merged_.merge(s->net_stats);
-      net_stats_epoch_ = barrier_epoch_;
-    }
-    return net_stats_merged_;
-  }
-  /// Shard 0's hint store (the only one when unsharded). Sharded runs keep
-  /// one sender-side store per shard; use the summed accessors below.
-  const HintStore& hints() const { return shards_[0]->hints; }
-  std::uint64_t hints_stored() const {
-    std::uint64_t n = 0;
-    for (const auto& s : shards_) n += s->hints.stored();
-    return n;
-  }
-  std::uint64_t hints_replayed() const {
-    std::uint64_t n = 0;
-    for (const auto& s : shards_) n += s->hints.replayed();
-    return n;
-  }
-  std::size_t hints_pending_total() const {
-    std::size_t n = 0;
-    for (const auto& s : shards_) n += s->hints.pending_total();
-    return n;
-  }
+  const net::NetStats& net_stats() const { return net_stats_; }
+  /// Sender-side hinted-handoff store.
+  const HintStore& hints() const { return hints_; }
   Node& node(net::NodeId id);
   const Node& node(net::NodeId id) const;
 
   /// Replica set for `key` (placement order): one read of the per-arc
   /// placement table the ctor built. Placement never depends on liveness,
-  /// so the table is immutable; every shard shares it, and the reference
-  /// stays valid for the cluster's lifetime.
+  /// so the table is immutable and the reference stays valid for the
+  /// cluster's lifetime.
   const ReplicaList& replicas_for(Key key) const {
     return arc_replicas_[ring_.arc_of(key)];
   }
 
-  /// Event shards the cluster routes across: the owning simulation's shard
-  /// count (ShardMap lays DCs and key ranges over them).
-  std::uint32_t shard_count() const {
-    return static_cast<std::uint32_t>(shards_.size());
-  }
-
   std::uint64_t storage_bytes() const;
   /// Replica-level storage operations served (reads+digests+writes).
-  std::uint64_t replica_ops() const { return sum(&ShardState::replica_ops); }
+  std::uint64_t replica_ops() const { return replica_ops_; }
   /// Billed block-device I/O requests across all nodes (cache-miss reads and
   /// amortized commit-log flushes; memtable hits are free).
   double disk_io() const;
   SimDuration total_busy_time() const;
   /// Requests that exhausted every attempt without meeting their requirement.
   /// A request rescued by a retry or hedge is NOT counted here.
-  std::uint64_t timeouts() const { return sum(&ShardState::timeouts); }
-  std::uint64_t unavailable() const { return sum(&ShardState::unavailable); }
-  std::uint64_t retries() const { return sum(&ShardState::retries); }
-  std::uint64_t hedges_fired() const { return sum(&ShardState::hedges_fired); }
+  std::uint64_t timeouts() const { return timeouts_; }
+  std::uint64_t unavailable() const { return unavailable_; }
+  std::uint64_t retries() const { return retries_; }
+  std::uint64_t hedges_fired() const { return hedges_fired_; }
   /// Hedge legs whose response completed the read (the hedge paid off).
-  std::uint64_t hedge_wins() const { return sum(&ShardState::hedge_wins); }
-  std::uint64_t sheds() const { return sum(&ShardState::sheds); }
+  std::uint64_t hedge_wins() const { return hedge_wins_; }
+  std::uint64_t sheds() const { return sheds_; }
   /// Current hedge delay (fallback until enough RTT samples accumulate).
-  /// Shard 0's view — each shard tracks its own RTT quantile when sharded.
-  SimDuration current_hedge_delay() const { return hedge_delay_of(*shards_[0]); }
-  std::uint64_t read_repairs_sent() const {
-    return sum(&ShardState::read_repairs);
+  SimDuration current_hedge_delay() const {
+    return hedge_delay_cached_ > 0 ? hedge_delay_cached_
+                                   : cfg_.resilience.hedge_fallback_delay;
   }
+  std::uint64_t read_repairs_sent() const { return read_repairs_; }
   std::uint64_t anti_entropy_repairs() const { return anti_entropy_repairs_; }
-  std::size_t anti_entropy_backlog() const {
-    std::size_t n = 0;
-    for (const auto& s : shards_) n += s->dirty_keys.size();
-    return n;
-  }
+  std::size_t anti_entropy_backlog() const { return dirty_keys_.size(); }
 
-  /// Attach the measurement observer. Legal under sharding: every callback
-  /// site defers into the executing shard's monitor log, and the barrier
-  /// hook replays the (time, seq)-merged stream — the exact serial callback
-  /// order — into the observer between windows.
+  /// Attach the measurement observer.
   void set_observer(ClusterObserver* observer) { observer_ = observer; }
 
   // ---- client-side measurement records -----------------------------------
-  // Forwarded to the observer's record_* hooks: immediately when unsharded,
-  // via the per-shard monitor log (barrier-merged replay) when sharded. The
-  // workload layer's only route to the monitor. Each hook reports now(),
+  // Forwarded at once to the observer's record_* hooks (no-ops without one):
+  // the workload layer's only route to the monitor. Each hook reports now(),
   // except record_read_issued, which reports `at` — the issue time the
-  // client measures from (a paced client's intended arrival). Sharded, the
-  // executing event's (now, seq) still orders the replay.
+  // client measures from (a paced client's intended arrival).
   void record_read_issued(SimTime at, Key key);
   void record_write_issued(Key key, std::uint32_t value_size);
   void record_read_complete(SimDuration latency);
   void record_write_complete(SimDuration latency);
-
-  /// Key-range ownership: the shard an operation on `key` issued from DC
-  /// `dc` must execute on (always 0 with one shard). The workload layer
-  /// routes per-shard clients and open-loop sources with this.
-  std::uint32_t home_shard(net::DcId dc, Key key) const {
-    return shard_map_.home_shard(dc, key);
-  }
-  /// The DC/key-range/node -> shard layout.
-  const ShardMap& shard_map() const { return shard_map_; }
 
   sim::Simulation& simulation() { return *sim_; }
 
@@ -457,13 +348,6 @@ class Cluster {
   // POD event). reset_for_reuse() is the SlotPool recycling hook — cheaper
   // than assigning a default-constructed temporary, which the release fast
   // path would otherwise pay per request.
-  //
-  // Sharded execution: a pending record lives in its *home* shard's pool (the
-  // coordinator's DC). Write fan-out legs executing on other shards resolve
-  // the pool through the event's `home` byte and read only the pinned fields
-  // (key/value/coord/start — written before fan-out, stable until every leg
-  // completed); everything else is home-side only. Read legs never touch the
-  // record remotely: the serve payload carries key and coordinator instead.
   struct PendingWrite {
     Key key{};
     VersionedValue value{};
@@ -584,132 +468,19 @@ class Cluster {
   using WriteHandle = SlotPool<PendingWrite>::Handle;
   using ReadHandle = SlotPool<PendingRead>::Handle;
 
-  /// One staleness-oracle call. With several shards, per-shard logs are
-  /// appended in that shard's execution order; the barrier hook K-way-merges
-  /// them by (at, seq) — the exact one-shard call order, which is what the
-  /// oracle's monotonicity contracts require.
-  struct OracleOp {
-    SimTime at = 0;
-    std::uint64_t seq = 0;
-    Key key = 0;
-    Version version = kNoVersion;  ///< committed / returned version
-    SimTime read_start = 0;
-    enum class Kind : std::uint8_t {
-      kCommit,    ///< record_commit(key, version, at)
-      kBeginRead, ///< begin_read(read_start)
-      kEndRead,   ///< end_read(read_start) — failed/shed reads
-      kJudgeEnd,  ///< judge(key, version, read_start) then end_read
-    };
-    Kind kind = Kind::kCommit;
-  };
-
-  /// One observer callback, applied at once or logged and barrier-merged
-  /// exactly like OracleOp. A single log carries all six
-  /// callback kinds: the monitor's EWMA decay and reservoir state couple the
-  /// client-side record_* hooks and the replica-side on_* hooks through one
-  /// last-event timestamp, so replay must be the exact serial interleaving
-  /// of ALL of them, not per-kind streams.
-  struct MonitorOp {
-    SimTime at = 0;
-    std::uint64_t seq = 0;
-    Key key = 0;              ///< issued / propagated
-    /// kWritePropagated: the write's start; kReadIssued: the reported issue
-    /// time (`at` orders the replay, this is what the observer sees).
-    SimTime start = 0;
-    SimDuration dur = 0;      ///< completion latency / replica rtt
-    std::uint32_t size = 0;   ///< written value size
-    net::NodeId replica = 0;  ///< kReplicaReadRtt
-    /// kWritePropagated: the per-replica apply delays — the caller's list
-    /// when applied at once, the log entry's own copy when replayed. A
-    /// pointer keeps the op small: every observer call builds one.
-    const DelayList* delays = nullptr;
-    enum class Kind : std::uint8_t {
-      kReadIssued,
-      kWriteIssued,
-      kReadComplete,
-      kWriteComplete,
-      kWritePropagated,
-      kReplicaReadRtt,
-    };
-    Kind kind = Kind::kReadIssued;
-    bool cross_dc = false;  ///< kReplicaReadRtt
-  };
-  /// A MonitorOp in a per-shard log, with its own copy of the delays: the
-  /// caller's list is gone by the time the barrier replays the op.
-  struct LoggedMonitorOp : MonitorOp {
-    DelayList owned_delays;
-  };
-
-  /// Everything the request path mutates, one instance per event shard (a
-  /// single instance when unsharded — shard 0's RNG stream and slot order
-  /// are byte-identical to the historical flat members). Each instance is
-  /// owned by its shard's worker during a window; heap-separate allocations
-  /// keep shards off each other's cache lines.
-  struct ShardState {
-    Rng rng;  ///< coordinator choice, snitch shuffles, link jitter
-    std::uint32_t id = 0;
-    std::uint64_t write_seq = 0;
-    std::uint64_t replica_ops = 0;
-    std::uint64_t timeouts = 0;
-    std::uint64_t unavailable = 0;
-    std::uint64_t read_repairs = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t hedges_fired = 0;
-    std::uint64_t hedge_wins = 0;
-    std::uint64_t sheds = 0;
-    /// Replica read RTTs feeding the hedge-delay quantile; sampled only
-    /// while hedging is enabled. The cached delay is recomputed every 64
-    /// samples so the percentile scan stays off the per-response path.
-    LatencyHistogram hedge_rtt;
-    SimDuration hedge_delay_cached = 0;  ///< 0: use the fallback delay
-    HintStore hints;  ///< sender-side: hints this shard's coordinators hold
-    net::NetStats net_stats;
-    SlotPool<PendingWrite> pending_writes;
-    SlotPool<PendingRead> pending_reads;
-    std::vector<OracleOp> oracle_log;  ///< several shards only
-    std::size_t oracle_pos = 0;        ///< merge cursor into oracle_log
-    std::vector<LoggedMonitorOp> monitor_log;  ///< several shards only
-    std::size_t monitor_pos = 0;         ///< merge cursor into monitor_log
-    /// Keys written since this shard's last anti-entropy sweep (shard 0's
-    /// set is the historical global one when unsharded).
-    // lint: allow(hot-path-alloc): touched only when anti-entropy is on;
-    // alloc_guard pins the default request path.
-    std::unordered_set<Key> dirty_keys;
-  };
-
-  /// The shard state this thread is currently executing against: the
-  /// dispatching shard's inside an event, shard 0 (or the setup shard) at
-  /// setup time, the single instance when unsharded.
-  ShardState& here() const { return *shards_[sim_->current_shard()]; }
-  /// The shard owning a node's replica state (ShardMap::node_shard).
-  std::uint8_t shard_of(net::NodeId n) const {
-    return shard_map_.node_shard(n);
-  }
-  std::uint64_t sum(std::uint64_t ShardState::* m) const {
-    std::uint64_t n = 0;
-    for (const auto& s : shards_) n += (*s).*m;
-    return n;
-  }
-
-  net::NodeId pick_coordinator(net::DcId dc, Rng& rng);
-  SimDuration client_link_delay(Rng& rng, bool cross_dc = false);
-  SimDuration link_delay(net::NodeId src, net::NodeId dst, Rng& rng);
+  net::NodeId pick_coordinator(net::DcId dc);
+  SimDuration client_link_delay(bool cross_dc = false);
+  SimDuration link_delay(net::NodeId src, net::NodeId dst);
   void account(net::NodeId src, net::NodeId dst, std::uint64_t bytes);
   void account_client(std::uint64_t bytes, bool cross_dc = false);
 
   /// Order candidate read replicas for a coordinator (snitch).
-  ReplicaList order_for_read(net::NodeId coord, const ReplicaList& replicas,
-                             Rng& rng) const;
+  ReplicaList order_for_read(net::NodeId coord, const ReplicaList& replicas);
 
   void start_write(WriteHandle h);
-  void replica_apply_write(WriteHandle h, net::NodeId replica,
-                           std::uint32_t home);
-  void write_apply_done(WriteHandle h, net::NodeId replica, std::uint32_t home);
-  /// `acked` distinguishes a replica ack (counts toward the consistency
-  /// level) from a completion-only leg (replica died mid-flight; sharded
-  /// runs route the lifecycle bookkeeping home as an event).
-  void write_ack(WriteHandle h, net::NodeId replica, SimDuration apply_delay,
-                 bool acked);
+  void replica_apply_write(WriteHandle h, net::NodeId replica);
+  void write_apply_done(WriteHandle h, net::NodeId replica);
+  void write_ack(WriteHandle h, net::NodeId replica, SimDuration apply_delay);
   void finish_write(WriteHandle h, bool ok);
   void write_deliver(WriteHandle h);
   void read_deliver(ReadHandle h);
@@ -734,11 +505,7 @@ class Cluster {
   void fire_hedge(ReadHandle h);
   void read_timeout(ReadHandle h);
   void retry_read(ReadHandle h);
-  void observe_read_rtt(ShardState& st, SimDuration rtt);
-  SimDuration hedge_delay_of(const ShardState& st) const {
-    return st.hedge_delay_cached > 0 ? st.hedge_delay_cached
-                                     : cfg_.resilience.hedge_fallback_delay;
-  }
+  void observe_read_rtt(SimDuration rtt);
   /// Token-bucket check for one request in `dc`. Returns 0 when admitted
   /// (one token consumed); otherwise the retry-after the shed should carry.
   SimDuration admit(net::DcId dc);
@@ -755,50 +522,14 @@ class Cluster {
 
   void replay_hints(net::NodeId target);
   void anti_entropy_sweep();
-  /// Sweep one shard's dirty set (up to `budget` keys); returns keys swept.
-  std::size_t sweep_shard_dirty(ShardState& st, std::size_t budget);
-  /// Deferred mode: fence + schedule the next sweep instant.
-  void arm_anti_entropy_fence(SimTime at);
 
-  // ---- oracle sink ---------------------------------------------------------
-  // Every oracle call site builds one OracleOp and hands it to oracle_sink:
-  // applied at once with one shard, appended to the executing shard's log
-  // (barrier-merged) with several. apply_oracle_op is the one switch both
-  // routes go through.
-  void oracle_commit(Key key, const Version& version);
-  void oracle_begin_read(SimTime read_start);
-  void oracle_end_read(SimTime read_start);
-  /// Judge + end for a completed read; fills result->stale / staleness_age
-  /// from the judgement (fresh when the judgement is deferred).
+  // ---- oracle and observer calls -------------------------------------------
   void oracle_judge_end(Key key, const Version& returned, SimTime read_start,
                         ReadResult* result);
-  /// The judgement of an applied kJudgeEnd op; default (fresh) otherwise.
-  StalenessOracle::Judgement oracle_sink(const OracleOp& op);
-  StalenessOracle::Judgement apply_oracle_op(const OracleOp& op);
-  /// Window-barrier hook: merge per-shard logs by (at, seq) and apply every
-  /// op dated strictly before `safe_time` to the global oracle and the
-  /// observer; bumps the barrier epoch the memoized accessors key on.
-  static void barrier_hook(void* ctx, SimTime safe_time);
-  /// The barrier merge shared by both logs: K-way-merges one per-shard log
-  /// (member `log`, cursor `pos`) by (at, seq), hands every op dated before
-  /// `safe_time` to `apply` in that order, and recycles drained logs.
-  template <typename Op, typename Apply>
-  void merge_shard_logs(std::vector<Op> ShardState::*log,
-                        std::size_t ShardState::*pos, SimTime safe_time,
-                        Apply&& apply);
-
-  // ---- observer sink -------------------------------------------------------
-  // The same shape for the observer: each call site (the record_* hooks and
-  // these two) builds one MonitorOp for monitor_sink, and apply_monitor_op
-  // is the one switch that calls the observer.
   void observer_write_propagated(Key key, SimTime write_start,
                                  const DelayList& delays);
   void observer_replica_read_rtt(net::NodeId replica, SimDuration rtt,
                                  bool cross_dc);
-  /// A MonitorOp stamped with the executing event's (now, seq).
-  MonitorOp monitor_op(MonitorOp::Kind kind) const;
-  void monitor_sink(const MonitorOp& op);
-  void apply_monitor_op(const MonitorOp& op);
 
   sim::Simulation* sim_;
   ClusterConfig cfg_;
@@ -811,28 +542,38 @@ class Cluster {
 
   DcCounts rf_per_dc_;    // cfg_.rf_per_dc(), computed once
   /// Replica set of every ring arc (TokenRing::arc_of), built once by the
-  /// ctor and read-only after: all shards share it.
+  /// ctor and read-only after.
   std::vector<ReplicaList> arc_replicas_;
 
-  /// Per-shard request-path state; size sim.shard_count() (1 unsharded).
-  std::vector<std::unique_ptr<ShardState>> shards_;
-  /// True when shard_count > 1: oracle and observer calls defer to per-shard
-  /// logs, write lifecycle legs route home as events, pools are pre-grown,
-  /// and the sharded-restriction contract checks are armed.
-  bool deferred_ = false;
-  /// DC/key-range/node -> shard ownership, for every shard count.
-  ShardMap shard_map_;
-  /// Window barriers seen so far (bumped by the barrier hook); memoized
-  /// merged accessors re-merge only when it moved. 0 = setup time.
-  std::uint64_t barrier_epoch_ = 0;
-  mutable net::NetStats net_stats_merged_;
-  mutable std::uint64_t net_stats_epoch_ = 0;  ///< epoch net_stats_merged_ is at
+  // ---- request-path state ----------------------------------------------
+  Rng rng_;  ///< coordinator choice, snitch shuffles, link jitter
+  std::uint64_t write_seq_ = 0;
+  std::uint64_t replica_ops_ = 0;
+  std::uint64_t timeouts_ = 0;
+  std::uint64_t unavailable_ = 0;
+  std::uint64_t read_repairs_ = 0;
+  std::uint64_t retries_ = 0;
+  std::uint64_t hedges_fired_ = 0;
+  std::uint64_t hedge_wins_ = 0;
+  std::uint64_t sheds_ = 0;
+  /// Replica read RTTs feeding the hedge-delay quantile; sampled only while
+  /// hedging is enabled. The cached delay is recomputed every 64 samples so
+  /// the percentile scan stays off the per-response path.
+  LatencyHistogram hedge_rtt_;
+  SimDuration hedge_delay_cached_ = 0;  ///< 0: use the fallback delay
+  HintStore hints_;  ///< sender-side: hints the coordinators hold
+  net::NetStats net_stats_;
+  SlotPool<PendingWrite> pending_writes_;
+  SlotPool<PendingRead> pending_reads_;
+  /// Keys written since the last anti-entropy sweep.
+  // lint: allow(hot-path-alloc): touched only when anti-entropy is on;
+  // alloc_guard pins the default request path.
+  std::unordered_set<Key> dirty_keys_;
 
   /// alive()-flags mirrored out of the Node objects: the request path scans
   /// liveness constantly (coordinator picks, feasibility, contact sets), and
   /// a contiguous byte array beats a unique_ptr chase per node. kill_node/
-  /// revive_node keep it in sync. Read by every shard, mutated only at
-  /// fenced fault instants (merged-serial execution).
+  /// revive_node keep it in sync.
   std::vector<std::uint8_t> alive_;
   bool node_alive(net::NodeId id) const { return alive_[id] != 0; }
   /// Alive-node count per DC, kept in sync by kill_node/revive_node; feeds
@@ -841,39 +582,23 @@ class Cluster {
 
   std::uint64_t anti_entropy_repairs_ = 0;
 
-  /// Admission token buckets (lazy refill on access), one per DC per shard
-  /// of that DC (ShardMap::admission_bucket) — each gets 1/S of its DC's
-  /// rate and burst, so the aggregate admitted rate matches the per-DC
-  /// configuration while every bucket is touched by one shard only (no
-  /// cross-shard mutation; with S == 1 the split is exact). Each bucket
-  /// carries its own rate/burst and is padded to a cache line.
+  /// Admission token bucket per DC (lazy refill on access).
   struct TokenBucket {
     double tokens = 0;
     SimTime last = 0;
-    double rate = 0;   ///< tokens per second this bucket accrues
-    double burst = 0;  ///< bucket depth, tokens
-    char pad_[32] = {};
   };
-  /// The calling context's admission bucket for a request from `dc`.
-  TokenBucket& admission_bucket(net::DcId dc) {
-    return admission_[shard_map_.admission_bucket(dc, sim_->current_shard())];
-  }
   std::vector<TokenBucket> admission_;
 
   /// Per-node link-latency multipliers and the WAN-wide multiplier from
   /// degradation faults. `links_degraded_` gates the multiply so the healthy
-  /// path never pays it (and stays byte-identical). Mutated only at fenced
-  /// fault instants.
+  /// path never pays it (and stays byte-identical).
   std::vector<double> latency_mult_;
   double wan_mult_ = 1.0;
   bool links_degraded_ = false;
   void refresh_links_degraded();
 
-  // Anti-entropy scheduling state. Unsharded, the sweep is scheduled lazily
-  // (only while dirty keys exist) so an idle cluster's event queue drains;
-  // sharded, sweeps run at fenced instants armed at construction and
-  // re-armed from the sweep itself while the simulation has pending events
-  // (dirty sets live per shard — see ShardState::dirty_keys).
+  /// The sweep is scheduled lazily (only while dirty keys exist) so an idle
+  /// cluster's event queue drains.
   bool anti_entropy_scheduled_ = false;
 };
 

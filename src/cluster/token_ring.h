@@ -53,18 +53,6 @@ class TokenRing {
   /// Hash a key onto the token space.
   static std::uint64_t token_for(Key key) { return mix64(key); }
 
-  /// Key-range sharding: partition the token space [0, 2^64) into `ranges`
-  /// equal contiguous ranges and return the index owning `token`. Computed
-  /// as floor(token * ranges / 2^64) (a 128-bit multiply, no division), so
-  /// range r covers tokens [ceil(r * 2^64 / ranges), ceil((r+1) * 2^64 /
-  /// ranges)): range 0 always owns token 0, range `ranges - 1` always owns
-  /// 2^64 - 1, and there is no wrap-around range — the ring's wrap (last
-  /// vnode -> first vnode) stays a placement concern, not an ownership one.
-  static std::uint32_t range_of(std::uint64_t token, std::uint32_t ranges) {
-    return static_cast<std::uint32_t>(
-        (static_cast<unsigned __int128>(token) * ranges) >> 64);
-  }
-
   /// SimpleStrategy placement: rf distinct nodes clockwise from the token.
   std::vector<net::NodeId> replicas_simple(Key key, int rf) const;
   /// Allocation-free variant for the request path (rf <= kMaxReplicas).

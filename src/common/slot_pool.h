@@ -85,26 +85,6 @@ class SlotPool {
     --live_;
   }
 
-  /// Pre-grow the slab (and free list) to at least `n` slots. Sharded cluster
-  /// execution calls this once at setup so steady-state acquire() is
-  /// free-list-only: remote shards read records through get() concurrently
-  /// with the owner's acquire/release, which is only race-free if the chunk
-  /// directory and slot_count_ never move underneath them. Slots are pushed
-  /// onto the free list lowest-first, so the first acquire() pops slot n-1 —
-  /// deterministic, though different from ungrown pools' slot order.
-  void reserve(std::uint32_t n) {
-    while (slot_count_ < n) {
-      if ((slot_count_ & kChunkMask) == 0) {
-        // lint: allow(hot-path-alloc): setup-time pre-growth (called once
-        // before the run); the whole point is keeping acquire() alloc-free.
-        chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
-      }
-      const std::uint32_t s = slot_count_++;
-      slot(s).next_free = free_head_;
-      free_head_ = s;
-    }
-  }
-
   std::size_t live() const { return live_; }
   std::size_t capacity() const { return slot_count_; }
 

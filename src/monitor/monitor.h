@@ -89,9 +89,8 @@ class Monitor : public cluster::ClusterObserver {
   /// Register with the cluster and learn the replication layout.
   void attach(cluster::Cluster& c, net::DcId client_home_dc);
 
-  // ---- client-side hooks (wired by the workload runner; also
-  // ClusterObserver virtuals so sharded runs can replay them from the
-  // barrier-merged per-shard logs) ------------------------------------------
+  // ---- client-side hooks (ClusterObserver virtuals: the workload layer
+  // reaches them through Cluster::record_*) -----------------------------------
   void record_read_issued(SimTime now, std::uint64_t key = 0) override;
   void record_write_issued(SimTime now, std::uint64_t key = 0,
                            std::uint32_t value_size = 0) override;

@@ -29,8 +29,7 @@ class LatencyModel {
 /// Base + lognormal jitter per latency class. `sigma` is log-space stddev;
 /// 0.25 gives a p99/median ratio of ~1.8, typical of a healthy datacenter.
 /// `floor` clamps samples from below (real links never beat the speed of
-/// light); a positive cross-DC floor is also what the sharded executor uses
-/// as its conservative lookahead — no cross-DC message can arrive sooner.
+/// light).
 struct LatencyTier {
   SimDuration base = 0;   ///< median one-way latency
   double sigma = 0.25;    ///< lognormal jitter

@@ -23,11 +23,6 @@
 // event's `target` pointer names the instance (a Cluster*, a Client*, ...),
 // so one simulation can host many dispatch targets with zero per-event
 // registration.
-//
-// Sharded execution: `shard` names the event shard the event must execute on
-// (see sim/shard.h — per-DC shards under conservative lookahead windows).
-// Schedule sites set it to the shard owning the state the handler touches;
-// in a one-shard simulation it is always 0.
 #pragma once
 
 #include <cstddef>
@@ -63,7 +58,6 @@ enum class EventKind : std::uint8_t {
   // ---- workload domain (16..31): clients --------------------------------
   kClientIssue = 16,   ///< a closed-loop client issues its next operation
   kOpenLoopArrival,    ///< an open-loop source's next intended arrival fires
-  kPolicyTick,         ///< fenced policy-retuning tick (sharded runs)
 
   // ---- user domain (32..47): free for tests and benches ------------------
   kUserProbe = 32,
@@ -84,11 +78,6 @@ constexpr std::size_t event_domain_index(EventKind kind) {
 struct TypedEvent {
   EventKind kind = EventKind::kClosure;
   std::uint8_t flag = 0;      ///< data_read / found
-  std::uint8_t shard = 0;     ///< destination event shard (0 with one shard);
-                              ///< under key-range sharding this is the shard
-                              ///< owning the destination node / key range
-  std::uint8_t home = 0;      ///< shard owning the pending record (write legs
-                              ///< resolve their coordinator's slot pool by it)
   std::uint32_t node = 0;     ///< replica or repair/hint target node
   void* target = nullptr;     ///< dispatch instance (Cluster*, Client*, ...)
 
@@ -111,8 +100,7 @@ struct TypedEvent {
       SimTime sent_at;
       std::uint64_t key;
       std::uint32_t coord;
-    } serve;  ///< kReadServe (node=replica, flag=data_read); key/coord ride
-              ///< along so remote shards never touch the pending record
+    } serve;  ///< kReadServe (node=replica, flag=data_read)
     struct {
       Req h;
       SimTime sent_at;

@@ -40,7 +40,7 @@ EventHandle EventQueue::push(SimTime when, EventFn fn) {
   Slot& sl = slot(s);
   sl.fn = std::move(fn);
   const std::size_t i = heap_.size();
-  heap_.push_back(HeapEntry{when, alloc_seq(), s});
+  heap_.push_back(HeapEntry{when, next_seq_++, s});
   sl.heap_pos = static_cast<std::uint32_t>(i);
   // Most scheduled events land behind their parent (delays accumulate), so
   // test once before paying sift_up's read-modify-write of the new entry.

@@ -83,18 +83,8 @@ class EventQueue {
   /// Typed hot lane: the event is copied inline into its heap entry. Not
   /// cancellable; run_before hands it to `dispatch` when its time comes.
   void push_typed(SimTime when, const TypedEvent& ev) {
-    push_typed_stamped(when, alloc_seq(), ev);
-  }
-
-  /// Sharded execution: seqs were allocated on the *sending* shard's queue at
-  /// schedule time (that is what makes the cross-shard merge order identical
-  /// to the serial schedule order); the destination queue inserts the entry
-  /// under that foreign seq. Heap pop order depends only on (when, seq), so
-  /// out-of-order stamped inserts at a window barrier are harmless.
-  void push_typed_stamped(SimTime when, std::uint64_t seq,
-                          const TypedEvent& ev) {
     const std::size_t i = typed_heap_.size();
-    typed_heap_.push_back(TypedEntry{when, seq, ev});
+    typed_heap_.push_back(TypedEntry{when, next_seq_++, ev});
     // Most scheduled events land behind their parent (delays accumulate), so
     // test once before paying sift_up's read-modify-write of the new entry.
     if (i > 0 && earlier(typed_heap_[i], typed_heap_[(i - 1) >> 2])) {
@@ -102,45 +92,9 @@ class EventQueue {
     }
   }
 
-  /// Draw the next sequence number from this queue's stream (see
-  /// set_seq_stream). Exposed so a sharded sender can stamp an event that a
-  /// *different* shard's queue will store.
-  std::uint64_t alloc_seq() {
-    const std::uint64_t s = next_seq_;
-    next_seq_ += seq_stride_;
-    return s;
-  }
-
-  /// Interleave this queue's seq stream with its siblings: shard s of K draws
-  /// s, s+K, s+2K, ... so seqs are globally unique across shards and the
-  /// K-way merged order is a strict total order. The default (0, 1) is the
-  /// single-queue stream; with one shard, (0, 1) reproduces it exactly.
-  /// Configure before the first push — reconfiguring a live stream would
-  /// break the already-issued ordering.
-  void set_seq_stream(std::uint64_t offset, std::uint64_t stride) {
-    next_seq_ = offset;
-    seq_stride_ = stride;
-  }
-
-  /// Earliest live (when, seq) across both lanes; false when drained. The
-  /// windowed shard executor uses this to pick the next global window start.
-  bool peek_next(SimTime& when, std::uint64_t& seq) const {
-    if (typed_heap_.empty() && heap_.empty()) return false;
-    if (typed_heap_.empty() || (!heap_.empty() && earlier(heap_.front(), typed_heap_.front()))) {
-      when = heap_.front().when;
-      seq = heap_.front().seq;
-    } else {
-      when = typed_heap_.front().when;
-      seq = typed_heap_.front().seq;
-    }
-    return true;
-  }
-
   /// The one pop path, merging both lanes: pops the earliest live event at
-  /// or before `horizon`. `on_event(when, seq)` fires right before the
-  /// event runs (the simulation advances its clock there; the seq lets the
-  /// sharded executor expose the running event's global sequence). A typed
-  /// event is copied
+  /// or before `horizon`. `on_event(when)` fires right before the event runs
+  /// (the simulation advances its clock there). A typed event is copied
   /// out and handed to `dispatch`; a closure runs *in place* in its slab
   /// slot — no move-out, no extra destructor. The closure slot's generation
   /// is bumped before invoking, so a handle cancelled from inside its own
@@ -155,7 +109,7 @@ class EventQueue {
       if (typed_heap_.front().when > horizon) return PopResult::kLater;
       const TypedEntry top = typed_heap_.front();  // copy: dispatch may push
       heap_pop_top(typed_heap_);
-      on_event(top.when, top.seq);
+      on_event(top.when);
       dispatch(top.ev);
       return PopResult::kEvent;
     }
@@ -177,7 +131,7 @@ class EventQueue {
         q->free_head_ = s;
       }
     } reclaim{this, top.slot};
-    on_event(top.when, top.seq);
+    on_event(top.when);
     sl.fn();
     return PopResult::kEvent;
   }
@@ -324,7 +278,6 @@ class EventQueue {
   std::uint32_t slot_count_ = 0;
   std::uint32_t free_head_ = kNil;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t seq_stride_ = 1;
 };
 
 inline void EventHandle::cancel() {

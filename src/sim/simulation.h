@@ -1,127 +1,47 @@
 // Deterministic discrete-event simulation kernel.
 //
-// Every run executes on a sim::ShardSet (sim/shard.h). By default the set
-// holds one shard with no lookahead window: one (time, seq) queue, run on the
-// calling thread straight to the next fence or the horizon. Determinism is
-// what lets every experiment in the reproduction be replayed from a seed.
-// Parallelism happens either one level up (independent Simulation instances
-// on a thread pool) or — for one big scenario — *inside* the run via
-// configure_shards(): per-shard event queues executed in conservative
-// lookahead windows that reproduce the merged-serial (time, seq) order bit
-// for bit.
+// One (time, seq) event queue, run on the calling thread: same-instant
+// events run in scheduling order, which is what lets every experiment in the
+// reproduction be replayed from a seed. Parallelism happens one level up:
+// independent Simulation instances on a thread pool (workload::SweepRunner,
+// multi-seed benches, perfbench's one-process-per-run pools).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <memory>
 
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/time_types.h"
 #include "sim/event_queue.h"
-#include "sim/shard.h"
 
 namespace harmony::sim {
 
 class Simulation {
  public:
-  static constexpr std::uint32_t kDefaultMailboxCapacity = 4096;
-
-  /// Starts on the default set: one shard, seq stream (0, 1), no lookahead
-  /// window. configure_shards() replaces it.
   explicit Simulation(std::uint64_t seed = 1)
-      : master_rng_(seed),
-        seed_(seed),
-        // lint: allow(hot-path-alloc): once per Simulation, at construction;
-        // the run loop only reads through the pointer.
-        shards_(std::make_unique<ShardSet>(*this, 1, ShardSet::kNoLookahead, 1,
-                                           kDefaultMailboxCapacity)) {}
+      : master_rng_(seed), seed_(seed) {}
 
-  /// Current simulation time: the clock of the shard whose event is being
-  /// dispatched on this thread (each handler sees exactly the time it would
-  /// see in the merged-serial order), and the last run's end time between
-  /// runs.
-  SimTime now() const {
-    if (const Shard* s = tls_current_shard) return s->now;
-    return now_;
-  }
+  /// Current simulation time: the dispatching event's time inside a handler,
+  /// the last run's end time between runs.
+  SimTime now() const { return now_; }
   std::uint64_t seed() const { return seed_; }
-
-  // ---- sharded execution ---------------------------------------------------
-
-  /// Replace the default one-shard set with `count` event shards run by
-  /// `num_threads` workers (1 = merged-serial reference order; >1 must and
-  /// does reproduce it bit for bit). `lookahead` is the minimum cross-shard
-  /// event delay the schedule sites guarantee: the cluster layer derives it
-  /// as the minimum latency floor over every hop class that can cross shards
-  /// (cluster::ShardMap::lookahead). Call before anything is scheduled;
-  /// closures never cross shards.
-  void configure_shards(std::uint32_t count, SimDuration lookahead,
-                        unsigned num_threads,
-                        std::uint32_t mailbox_capacity = kDefaultMailboxCapacity) {
-    HARMONY_CHECK_MSG(now_ == 0 && idle() && events_processed() == 0,
-                      "configure_shards() must precede all scheduling");
-    // lint: allow(hot-path-alloc): one-time setup (guarded above: nothing
-    // scheduled yet); the run loop only reads through the pointer.
-    shards_ = std::make_unique<ShardSet>(*this, count, lookahead, num_threads,
-                                         mailbox_capacity);
-  }
-
-  std::uint32_t shard_count() const { return shards_->count(); }
-  /// ShardSet::kNoLookahead for the default one-shard set.
-  SimDuration lookahead() const { return shards_->lookahead(); }
-
-  /// The shard this thread is currently executing for: the dispatching
-  /// shard inside an event, the setup shard (set_setup_shard) outside one.
-  std::uint32_t current_shard() const {
-    const Shard* s = tls_current_shard;
-    return s != nullptr ? s->id : setup_shard_;
-  }
-
-  /// Global sequence number of the event being dispatched (0 outside an
-  /// event; the cluster layer orders its deferred oracle log with it).
-  std::uint64_t current_seq() const {
-    const Shard* s = tls_current_shard;
-    return s != nullptr ? s->current_seq : 0;
-  }
-
-  /// Setup-time scheduling (harness closures, client start staggers) books
-  /// events — and draws seqs — against this shard until events start
-  /// running.
-  void set_setup_shard(std::uint32_t s) {
-    HARMONY_CHECK(s < shards_->count());
-    setup_shard_ = s;
-  }
-
-  /// See ShardSet::register_fence: instants that mutate cross-shard state
-  /// (fault injection) must be fenced.
-  void register_fence(SimTime t) { shards_->register_fence(t); }
-
-  /// See sim/shard.h BarrierHook.
-  void set_barrier_hook(BarrierHook hook, void* ctx) {
-    shards_->set_barrier_hook(hook, ctx);
-  }
-
-  std::uint64_t mailbox_spills() const { return shards_->mailbox_spills(); }
 
   /// Master RNG; entities should fork substreams at construction time.
   Rng& rng() { return master_rng_; }
   Rng fork_rng(std::uint64_t salt) { return master_rng_.fork(salt); }
 
-  /// Schedule fn at now()+delay (delay < 0 is clamped to 0). Closures never
-  /// cross shards: the event books into the scheduling shard's own queue
-  /// (timeouts, delivery callbacks and timers are all shard-local by
-  /// construction).
+  /// Schedule fn at now()+delay (delay < 0 is clamped to 0).
   EventHandle schedule(SimDuration delay, EventFn fn) {
     if (delay < 0) delay = 0;
-    return active_queue().push(now() + delay, std::move(fn));
+    return queue_.push(now_ + delay, std::move(fn));
   }
 
   /// Schedule fn at absolute time t (>= now()).
   EventHandle schedule_at(SimTime t, EventFn fn) {
-    HARMONY_CHECK_MSG(t >= now(), "cannot schedule into the past");
-    return active_queue().push(t, std::move(fn));
+    HARMONY_CHECK_MSG(t >= now_, "cannot schedule into the past");
+    return queue_.push(t, std::move(fn));
   }
 
   // ---- typed hot lane ------------------------------------------------------
@@ -129,17 +49,15 @@ class Simulation {
   // EventDispatchFn (see sim/event.h). Non-cancellable, so no handle.
 
   /// Schedule a typed event at now()+delay (delay < 0 is clamped to 0).
-  /// ev.shard names the destination shard; the seq is drawn from the
-  /// *scheduling* shard's stream (see sim/shard.h).
   void schedule_event(SimDuration delay, const TypedEvent& ev) {
     if (delay < 0) delay = 0;
-    push_event(now() + delay, ev);
+    queue_.push_typed(now_ + delay, ev);
   }
 
   /// Schedule a typed event at absolute time t (>= now()).
   void schedule_event_at(SimTime t, const TypedEvent& ev) {
-    HARMONY_CHECK_MSG(t >= now(), "cannot schedule into the past");
-    push_event(t, ev);
+    HARMONY_CHECK_MSG(t >= now_, "cannot schedule into the past");
+    queue_.push_typed(t, ev);
   }
 
   /// Register the dispatcher for one event domain (idempotent; subsystems
@@ -148,42 +66,40 @@ class Simulation {
     dispatchers_[static_cast<std::size_t>(domain)] = fn;
   }
 
-  /// Run until the queues drain or `horizon` passes (events at t > horizon
+  /// Run until the queue drains or `horizon` passes (events at t > horizon
   /// stay queued; now() is advanced to horizon if it was reached). The clock
   /// never moves backwards: a drained run ends at the later of the previous
   /// now() and the last executed event.
   void run_until(SimTime horizon) {
-    now_ = std::max(now_, shards_->run(horizon));
+    const auto on_event = [this](SimTime when) {
+      now_ = when;
+      ++events_processed_;
+    };
+    const auto dispatch = [this](const TypedEvent& ev) {
+      const EventDispatchFn fn = dispatchers_[event_domain_index(ev.kind)];
+      HARMONY_CHECK_MSG(fn != nullptr,
+                        "typed event fired with no dispatcher for its domain");
+      fn(ev);
+    };
+    while (queue_.run_before(horizon, on_event, dispatch) ==
+           EventQueue::PopResult::kEvent) {
+    }
+    if (!queue_.empty()) now_ = std::max(now_, horizon);
   }
 
-  /// Run until the queues drain.
+  /// Run until the queue drains.
   void run() { run_until(std::numeric_limits<SimTime>::max()); }
 
-  std::uint64_t events_processed() const { return shards_->events_processed(); }
-  bool idle() const { return shards_->idle(); }
+  std::uint64_t events_processed() const { return events_processed_; }
+  bool idle() const { return queue_.empty(); }
 
  private:
-  friend class ShardSet;
-
-  EventQueue& active_queue() { return shards_->shard(current_shard()).queue; }
-
-  void push_event(SimTime when, const TypedEvent& ev) {
-    shards_->route_event(shards_->shard(current_shard()), when, ev);
-  }
-
-  void dispatch(const TypedEvent& ev) {
-    const EventDispatchFn fn = dispatchers_[event_domain_index(ev.kind)];
-    HARMONY_CHECK_MSG(fn != nullptr,
-                      "typed event fired with no dispatcher for its domain");
-    fn(ev);
-  }
-
   SimTime now_ = 0;
+  std::uint64_t events_processed_ = 0;
   Rng master_rng_;
   std::uint64_t seed_;
-  std::uint32_t setup_shard_ = 0;
   EventDispatchFn dispatchers_[kEventDomains] = {};
-  std::unique_ptr<ShardSet> shards_;
+  EventQueue queue_;
 };
 
 /// Repeating timer helper: schedules fn every `period` until cancelled or the

@@ -8,17 +8,15 @@
 namespace harmony::workload {
 
 Client::Client(ClientEnv& env, net::DcId home_dc, double target_rate_per_s,
-               Rng rng, bool reroute_on_dc_outage, int shed_retry_limit,
-               std::uint8_t shard)
+               Rng rng, bool reroute_on_dc_outage, int shed_retry_limit)
     : env_(&env), home_(home_dc), target_rate_(target_rate_per_s),
-      rng_(std::move(rng)), shard_(shard), reroute_(reroute_on_dc_outage),
+      rng_(std::move(rng)), reroute_(reroute_on_dc_outage),
       shed_retry_limit_(shed_retry_limit) {}
 
 namespace {
-sim::TypedEvent issue_event(Client* client, std::uint8_t shard) {
+sim::TypedEvent issue_event(Client* client) {
   sim::TypedEvent e;
   e.kind = sim::EventKind::kClientIssue;
-  e.shard = shard;
   e.target = client;
   return e;
 }
@@ -32,11 +30,6 @@ void Client::dispatch_event(const sim::TypedEvent& ev) {
     case sim::EventKind::kOpenLoopArrival:
       OpenLoopSource::dispatch_arrival(ev);
       break;
-    case sim::EventKind::kPolicyTick:
-      // Fenced instant (merged-serial): the runner may snapshot the monitor
-      // and retune the policy, both cross-shard singletons.
-      static_cast<ClientEnv*>(ev.target)->on_policy_tick();
-      break;
     default:
       HARMONY_CHECK_MSG(false, "unknown workload event kind");
   }
@@ -46,10 +39,8 @@ void Client::start() {
   sim::Simulation& sim = env_->simulation();
   sim.set_event_dispatcher(sim::EventDomain::kWorkload,
                            &Client::dispatch_event);
-  // The whole closed loop (issue event, request callback, pacing closure)
-  // stays on the ctor-assigned shard (a key-range shard of the home DC).
   const auto stagger = static_cast<SimDuration>(rng_.exponential(500.0));
-  sim.schedule_event(stagger, issue_event(this, shard_));
+  sim.schedule_event(stagger, issue_event(this));
 }
 
 void Client::schedule_next() {
@@ -67,7 +58,7 @@ void Client::schedule_next() {
     next_intended_ = base + gap;
     next = std::max(next, next_intended_);
   }
-  env_->simulation().schedule_event_at(next, issue_event(this, shard_));
+  env_->simulation().schedule_event_at(next, issue_event(this));
 }
 
 void Client::issue_next() {

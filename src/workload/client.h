@@ -24,10 +24,8 @@ struct Op {
   std::uint32_t value_size = 0;
 };
 
-/// The runner-side services a client needs. Runs inside the simulation loop:
-/// single-threaded by default, or — under sharded execution — on the worker
-/// thread of the client's home-DC shard. Implementations must keep any state
-/// they mutate from these callbacks shard-local (see workload/runner.cpp).
+/// The runner-side services a client needs. Runs inside the simulation loop,
+/// on the thread that runs the simulation.
 class ClientEnv {
  public:
   virtual ~ClientEnv() = default;
@@ -37,7 +35,7 @@ class ClientEnv {
   virtual cluster::Cluster& cluster() = 0;
   /// The experiment's monitor, attached as the cluster's observer. Clients
   /// and sources never call it: their measurement hooks go through
-  /// Cluster::record_*, the one route for serial and sharded runs alike.
+  /// Cluster::record_*.
   virtual monitor::Monitor& monitor() = 0;
   virtual sim::Simulation& simulation() = 0;
   /// Completion hooks (latency measured client-side).
@@ -46,30 +44,20 @@ class ClientEnv {
   virtual void on_write_complete(const cluster::WriteResult& result,
                                  SimDuration latency) = 0;
   virtual void on_client_finished() = 0;
-  /// Fenced policy-retuning tick (sharded runs; see EventKind::kPolicyTick).
-  /// The instant runs merged-serial, so the implementation may touch
-  /// cross-shard singletons (monitor snapshot, policy mutation).
-  virtual void on_policy_tick() {}
 };
 
 class Client {
  public:
   /// `reroute_on_dc_outage` / `shed_retry_limit` mirror the WorkloadSpec
-  /// resilience knobs (the runner forwards them). `shard` is the event shard
-  /// the client's whole closed loop runs on: the runner homes each client
-  /// on one key-range shard of its DC (cluster::ShardMap::dc_range; 0 with
-  /// one shard).
+  /// resilience knobs (the runner forwards them).
   Client(ClientEnv& env, net::DcId home_dc, double target_rate_per_s, Rng rng,
-         bool reroute_on_dc_outage = false, int shed_retry_limit = 8,
-         std::uint8_t shard = 0);
+         bool reroute_on_dc_outage = false, int shed_retry_limit = 8);
 
   /// Schedule this client's first operation (with a small random stagger so
   /// clients do not start in lockstep).
   void start();
 
   net::DcId home_dc() const { return home_; }
-  /// The event shard this client's loop runs on (0 with one shard).
-  std::uint8_t shard() const { return shard_; }
   std::uint64_t ops_issued() const { return issued_; }
   /// Operations routed to a non-home DC because home had no alive node.
   std::uint64_t rerouted_ops() const { return rerouted_; }
@@ -96,9 +84,6 @@ class Client {
   net::DcId home_;
   double target_rate_;
   Rng rng_;
-  /// Event shard the client's issue loop runs on (ctor-assigned by the
-  /// runner: one key-range shard of the home DC; 0 with one shard).
-  std::uint8_t shard_ = 0;
   SimTime last_issue_ = 0;
   /// Rate-paced clients: the op's *intended* issue time on the arrival grid.
   /// The grid advances by the drawn gaps alone; when completions lag the

@@ -16,10 +16,9 @@ constexpr double kPi = 3.14159265358979323846;
 /// ScrambledZipfianKeys (both use mix64 over small integers).
 constexpr std::uint64_t kProfileSalt = 0x6A09E667F3BCC909ULL;
 
-sim::TypedEvent arrival_event(OpenLoopSource* src, std::uint8_t shard) {
+sim::TypedEvent arrival_event(OpenLoopSource* src) {
   sim::TypedEvent e;
   e.kind = sim::EventKind::kOpenLoopArrival;
-  e.shard = shard;
   e.target = src;
   return e;
 }
@@ -31,12 +30,10 @@ OpenLoopSource::OpenLoopSource(ClientEnv& env, net::DcId dc,
                                std::uint64_t insert_lane,
                                std::uint64_t insert_stride, Rng rng,
                                std::unique_ptr<KeyDistribution> keys,
-                               const ScrambledZipfianKeys& users,
-                               std::uint8_t shard)
+                               const ScrambledZipfianKeys& users)
     : env_(&env), dc_(dc), spec_(&spec), rate_(rate_per_s),
       insert_lane_(insert_lane), insert_stride_(insert_stride),
       rng_(std::move(rng)), keys_(std::move(keys)), users_(users),
-      shard_(shard), owner_(env.cluster(), dc, shard),
       queue_(spec.open_loop.queue_capacity_per_dc) {
   HARMONY_CHECK(rate_ > 0);
   HARMONY_CHECK(keys_ != nullptr);
@@ -121,7 +118,7 @@ SimDuration OpenLoopSource::next_gap(SimTime now) {
 void OpenLoopSource::schedule_next_arrival(SimTime now) {
   const SimTime next = now + next_gap(now);
   if (next < spec_->open_loop.duration) {
-    env_->simulation().schedule_event_at(next, arrival_event(this, shard_));
+    env_->simulation().schedule_event_at(next, arrival_event(this));
   } else {
     gen_done_ = true;
     maybe_finished();
@@ -132,25 +129,19 @@ void OpenLoopSource::draw_op(Op& op) {
   op.type = static_cast<OpType>(rng_.weighted_index(props_, 4));
   op.value_size = spec_->value_size;
   if (op.type == OpType::kInsert) {
-    // Interleaved per-source insert lane (same scheme as the runner's
-    // closed-loop lanes): key identity is independent of execution order.
-    op.key = owner_.next_insert(spec_->record_count + insert_lane_,
-                                insert_stride_, next_insert_seq_);
+    // Interleaved per-source insert lane: sources never share a key.
+    op.key = spec_->record_count + insert_lane_ +
+             next_insert_seq_++ * insert_stride_;
     keys_->grow(op.key + 1);
     return;
   }
   // Attribute the arrival to a user (heavy-tailed activity): hot users hit
   // their own profile row with probability user_affinity, otherwise the
-  // workload's request distribution supplies the key. Key-range sharded
-  // sources redraw the whole (user, affinity, key) tuple until the key lands
-  // in their own range.
-  op.key = owner_.draw([this] {
-    const std::uint64_t user = users_.next(rng_);
-    if (rng_.chance(spec_->open_loop.user_affinity)) {
-      return mix64(user + kProfileSalt) % spec_->record_count;
-    }
-    return keys_->next(rng_);
-  });
+  // workload's request distribution supplies the key.
+  const std::uint64_t user = users_.next(rng_);
+  op.key = rng_.chance(spec_->open_loop.user_affinity)
+               ? mix64(user + kProfileSalt) % spec_->record_count
+               : keys_->next(rng_);
 }
 
 void OpenLoopSource::on_arrival() {

@@ -21,11 +21,8 @@
 //   arrivals == completed + shed_queue_full + queued_at_end + in_flight_at_end
 // which tests assert exactly (see tests/test_open_loop.cpp).
 //
-// One source per client-hosting DC. Every piece of mutable state is owned by
-// the source and only touched from its home DC's event shard (arrival events
-// carry the shard id; the cluster delivers completion callbacks on the same
-// shard), so sharded runs (RunConfig::num_shard_threads) reproduce the serial
-// merge bit for bit — the same contract as the closed-loop clients.
+// One source per client-hosting DC; every piece of mutable state is owned by
+// the source.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +31,6 @@
 
 #include "common/histogram.h"
 #include "workload/client.h"
-#include "workload/key_owner.h"
 
 namespace harmony::workload {
 
@@ -70,19 +66,14 @@ class OpenLoopSource {
   /// `rate_per_s` is this source's share of OpenLoopSpec::rate_per_s.
   /// `insert_lane`/`insert_stride` give the source its interleaved insert-key
   /// lane (record_count + lane + n*stride) so sources never contend for a
-  /// key counter — identical keys for any shard-thread count.
+  /// key counter.
   /// `keys` is this source's private request distribution (clone per source);
   /// `users` is copied (the copy shares the already-computed zeta constants).
-  /// `shard` is the event shard the source's whole loop runs on — one
-  /// source exists per shard of each hosting DC (one in all with one shard),
-  /// and draw_op() keeps only keys that shard owns (rejection sampling for
-  /// distribution draws, lane skip-scan for inserts; with one shard per DC
-  /// every key is owned).
   OpenLoopSource(ClientEnv& env, net::DcId dc, const WorkloadSpec& spec,
                  double rate_per_s, std::uint64_t insert_lane,
                  std::uint64_t insert_stride, Rng rng,
                  std::unique_ptr<KeyDistribution> keys,
-                 const ScrambledZipfianKeys& users, std::uint8_t shard = 0);
+                 const ScrambledZipfianKeys& users);
 
   /// Register the workload dispatcher and schedule the first arrival.
   void start();
@@ -92,8 +83,6 @@ class OpenLoopSource {
   void set_measuring(bool on) { measuring_ = on; }
 
   net::DcId dc() const { return dc_; }
-  /// The event shard this source's loop runs on (0 with one shard).
-  std::uint8_t shard() const { return shard_; }
   bool drained() const {
     return gen_done_ && in_flight_ == 0 && queue_size_ == 0;
   }
@@ -137,9 +126,6 @@ class OpenLoopSource {
   std::unique_ptr<KeyDistribution> keys_;
   ScrambledZipfianKeys users_;
   double props_[4] = {0, 0, 0, 0};  ///< op-type weights, OpType order
-  std::uint8_t shard_ = 0;
-  /// Keeps draw_op() to keys shard_ owns (key-range sharding).
-  KeyOwner owner_;
   bool measuring_ = false;
   bool gen_done_ = false;
   bool drain_reported_ = false;

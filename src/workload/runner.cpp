@@ -1,6 +1,7 @@
 #include "workload/runner.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -9,23 +10,18 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "workload/client.h"
-#include "workload/key_owner.h"
 
 namespace harmony::workload {
 
 namespace {
 
 /// Owns every entity of one experiment and implements the client callbacks.
-///
-/// All workload state lives in per-event-shard lanes (LaneState): a serial
-/// run is simply one lane, so the op stream, completion tallies, warm-up flip
-/// and collect merge have one implementation whatever the shard count.
 class Runner final : public ClientEnv {
  public:
   explicit Runner(const RunConfig& cfg)
       : cfg_(validated(cfg)),
         sim_(cfg.seed),
-        cluster_(shard_configured(sim_, cfg), sized_cluster_config(cfg)),
+        cluster_(sim_, cfg.cluster),
         monitor_(cfg.monitor),
         op_rng_(sim_.fork_rng(0x0FAB5EED)),
         request_dist_(cfg.workload.request_dist.build(cfg.workload.record_count)) {
@@ -40,43 +36,30 @@ class Runner final : public ClientEnv {
 
   RunResult run() {
     cluster_.preload_range(cfg_.workload.record_count, cfg_.workload.value_size);
-    init_lanes();
+    next_insert_key_ = cfg_.workload.record_count;
+    if (cfg_.record_trace) r_.trace = std::make_shared<Trace>();
 
     if (cfg_.workload.open_loop.enabled) {
       setup_open_loop();
     } else {
       // Clients, spread over every DC (or confined to one via client_dc).
-      // Under key-range sharding each client is further homed on one shard
-      // of its DC (round-robin over the DC's shard range), where its whole
-      // closed loop — and every key it touches — lives.
       for (std::size_t d = 0; d < cfg_.cluster.dc_count; ++d) {
         if (!hosts_clients(d)) continue;
-        const auto lanes = lanes_of(d);
         for (int i = 0; i < cfg_.workload.clients_per_dc; ++i) {
-          const auto shard = static_cast<std::uint8_t>(
-              lanes.first + static_cast<std::uint32_t>(i) % lanes.count);
           clients_.push_back(std::make_unique<Client>(
               *this, static_cast<net::DcId>(d),
               cfg_.workload.target_rate_per_client,
               sim_.fork_rng(0xC11E017 + clients_.size()),
               cfg_.workload.reroute_on_dc_outage,
-              cfg_.workload.shed_retry_limit, shard));
-          ++lane_[shard].clients;
+              cfg_.workload.shed_retry_limit));
         }
       }
-      for (auto& c : clients_) {
-        // Sharded: the start stagger (and every event it transitively books)
-        // belongs to the client's shard.
-        sim_.set_setup_shard(c->shard());
-        c->start();
-      }
-      sim_.set_setup_shard(0);
+      for (auto& c : clients_) c->start();
     }
 
     // Scheduled failure injection, all on the typed lane: the legacy
     // kill/revive list lowered to FaultSpecs, then the full fault schedule
-    // (blackouts, degradation windows, ...). Under sharding every fault
-    // instant is a fence (merged-serial).
+    // (blackouts, degradation windows, ...).
     for (const auto& fault : cfg_.faults) {
       cluster_.schedule_fault(cluster::FaultSpec{
           fault.at,
@@ -88,33 +71,18 @@ class Runner final : public ClientEnv {
       cluster_.schedule_fault(fault);
     }
 
-    // Policy retuning tick. One lane runs it on a periodic timer that
-    // on_client_finished() cancels the moment the budget drains. With
-    // several lanes the tick reads the monitor and mutates the policy, both
-    // cross-shard singletons, so each tick lands on a fenced instant
-    // (merged-serial, after the barrier flush applied every monitor op dated
-    // before it) and on_policy_tick() stops re-arming once every lane drains.
-    if (lane_.size() == 1) {
-      policy_timer_.start(sim_, cfg_.policy_tick, [this] {
-        policy_->tick(monitor_.snapshot(sim_.now()));
-      });
-    } else if (cfg_.policy_tick > 0) {
-      arm_policy_tick(cfg_.policy_tick);
-    }
+    // Policy retuning tick; on_client_finished() cancels it the moment the
+    // budget drains, so the queue can empty.
+    policy_timer_.start(sim_, cfg_.policy_tick, [this] {
+      policy_->tick(monitor_.snapshot(sim_.now()));
+    });
 
     // Warm-up boundary: reset measurements, keep billing clocks running.
-    // One boundary event per lane, each flipping only that lane's measuring
-    // state — the flip lands at the same (time, seq) point of the merge for
-    // every thread count.
-    for (std::uint32_t s = 0; s < lane_.size(); ++s) {
-      if (cfg_.warmup > 0) {
-        sim_.set_setup_shard(s);
-        sim_.schedule(cfg_.warmup, [this, s] { begin_measurement(s); });
-      } else {
-        begin_measurement(s);
-      }
+    if (cfg_.warmup > 0) {
+      sim_.schedule(cfg_.warmup, [this] { begin_measurement(); });
+    } else {
+      begin_measurement();
     }
-    sim_.set_setup_shard(0);
 
     if (cfg_.workload.open_loop.enabled) {
       // Open-loop runs are time-bounded: generation stops at `duration`,
@@ -131,41 +99,30 @@ class Runner final : public ClientEnv {
 
   // ---- ClientEnv -----------------------------------------------------------
 
-  /// The calling client's lane op stream: each lane owns an equal slice of
-  /// the op budget, its own RNG and key distribution clone, and an
-  /// interleaved insert-key lane (record_count + lane + n*lane_count) so
-  /// lanes never contend for a key counter. Under key-range sharding the
-  /// lane keeps only keys its shard owns (see workload/key_owner.h). Runs on
-  /// the calling client's shard thread; touches only that shard's LaneState.
+  /// The shared closed-loop op stream: inserts take fresh keys past the
+  /// preloaded records, everything else draws from the request distribution.
   bool next_op(Op& op) override {
-    const std::uint32_t shard = sim_.current_shard();
-    LaneState& s = lane_[shard];
-    if (s.ops_issued >= s.ops_budget) return false;
-    ++s.ops_issued;
+    if (ops_issued_ >= cfg_.workload.op_count) return false;
+    ++ops_issued_;
     const WorkloadSpec& w = cfg_.workload;
     const double weights[4] = {w.read_proportion, w.update_proportion,
                                w.insert_proportion, w.rmw_proportion};
-    switch (s.op_rng.weighted_index(weights, 4)) {
+    switch (op_rng_.weighted_index(weights, 4)) {
       case 0: op.type = OpType::kRead; break;
       case 1: op.type = OpType::kUpdate; break;
       case 2: op.type = OpType::kInsert; break;
       default: op.type = OpType::kReadModifyWrite; break;
     }
-    const KeyOwner owner(cluster_, s.dc, shard);
     if (op.type == OpType::kInsert) {
-      op.key = owner.next_insert(w.record_count + shard, lane_.size(),
-                                 s.next_insert_seq);
-      s.request_dist->grow(op.key + 1);
+      op.key = next_insert_key_++;
+      request_dist_->grow(next_insert_key_);
     } else {
-      op.key = owner.draw([&s] { return s.request_dist->next(s.op_rng); });
+      op.key = request_dist_->next(op_rng_);
     }
     op.value_size = w.value_size;
-    if (cfg_.record_trace) {
-      // Per-lane (time, seq)-stamped buffer; collect() stitches the lanes
-      // into the global issue order.
-      s.trace.push_back(StampedTrace{
-          sim_.current_seq(),
-          TraceRecord{sim_.now(), op.type, op.key, op.value_size}});
+    if (r_.trace) {
+      r_.trace->records.push_back(
+          TraceRecord{sim_.now(), op.type, op.key, op.value_size});
     }
     return true;
   }
@@ -177,109 +134,42 @@ class Runner final : public ClientEnv {
 
   void on_read_complete(const cluster::ReadResult& r, SimDuration latency,
                         int replicas_requested) override {
-    LaneState& s = lane_[sim_.current_shard()];
-    ++s.ops_completed;
-    if (!s.measuring) return;
-    ++s.reads;
+    ++ops_completed_;
+    if (!measuring_) return;
+    ++r_.reads;
     if (!r.ok) {
-      ++s.errors;
+      ++r_.errors;
       return;
     }
-    s.read_latency.record(latency);
-    ++s.read_level_usage[replicas_requested];
-    // r.stale is never set under shard_count > 1 (the deferred oracle judges
-    // at window barriers); collect() reads the oracle's aggregates instead.
+    r_.read_latency.record(latency);
+    ++r_.read_level_usage[replicas_requested];
     if (r.stale) {
-      ++s.stale_reads;
-      s.staleness_age.record(r.staleness_age);
+      ++r_.stale_reads;
+      r_.staleness_age.record(r.staleness_age);
     } else {
-      ++s.fresh_reads;
+      ++r_.fresh_reads;
     }
   }
 
   void on_write_complete(const cluster::WriteResult& w,
                          SimDuration latency) override {
-    LaneState& s = lane_[sim_.current_shard()];
-    ++s.ops_completed;
-    if (!s.measuring) return;
-    ++s.writes;
+    ++ops_completed_;
+    if (!measuring_) return;
+    ++r_.writes;
     if (!w.ok) {
-      ++s.errors;
+      ++r_.errors;
     } else {
-      s.write_latency.record(latency);
+      r_.write_latency.record(latency);
     }
   }
 
   void on_client_finished() override {
-    LaneState& s = lane_[sim_.current_shard()];
-    if (++s.clients_finished != s.clients) return;
-    s.finish_time = sim_.now();
-    // One lane: the budget drained, so stop the retuning timer and let the
-    // queue empty. Several lanes stop at the next fenced tick instead.
-    if (lane_.size() == 1) policy_timer_.stop();
-  }
-
-  /// Fenced policy tick (several lanes; see EventKind::kPolicyTick). Runs
-  /// merged-serial at a fence instant, after the window flush applied every
-  /// per-shard monitor op dated before it — so the snapshot the policy sees
-  /// is identical for every thread count. Stops when every lane's clients
-  /// have drained their budget, mirroring the single-lane PeriodicTimer
-  /// stop: the already-armed tick acts cancelled (no tick, no re-arm). The
-  /// stop must key off client state, not sim_.idle() — another
-  /// self-re-arming fence source (anti-entropy) would keep the queue
-  /// non-idle forever and the two would hold each other live.
-  void on_policy_tick() override {
-    bool running = false;
-    for (const LaneState& s : lane_) running |= s.clients_finished < s.clients;
-    if (!running) return;
-    policy_->tick(monitor_.snapshot(sim_.now()));
-    arm_policy_tick(sim_.now() + cfg_.policy_tick);
+    if (++clients_finished_ != clients_.size() + sources_.size()) return;
+    finish_time_ = sim_.now();
+    policy_timer_.stop();
   }
 
  private:
-  /// One issued-op trace record plus the event seq that stamps its position
-  /// in the global (time, seq) order (record_trace).
-  struct StampedTrace {
-    std::uint64_t seq = 0;
-    TraceRecord rec{};
-  };
-
-  /// Per-event-shard workload state ("lane"): everything a client callback
-  /// mutates lives here, indexed by the executing shard, so workers never
-  /// share a cache line let alone a counter. A one-shard run has one lane
-  /// that serves every DC; otherwise each DC owns a contiguous lane range
-  /// (ShardMap::dc_range), one lane per DC when shards_per_dc == 1. Padded
-  /// to a line for the adjacent-element case.
-  struct alignas(64) LaneState {
-    Rng op_rng;
-    std::unique_ptr<KeyDistribution> request_dist;
-    /// Owning DC of this shard lane (key ownership; unused by a serial run,
-    /// where every key is owned).
-    net::DcId dc = 0;
-    /// record_trace: this lane's issued ops, stamped for the collect-time
-    /// stitch.
-    std::vector<StampedTrace> trace;
-    std::uint64_t ops_budget = 0;
-    std::uint64_t ops_issued = 0;
-    std::uint64_t ops_completed = 0;
-    std::uint64_t next_insert_seq = 0;
-    std::size_t clients = 0;
-    std::size_t clients_finished = 0;
-    bool measuring = false;
-    std::uint64_t ops_at_measure_start = 0;
-    SimTime finish_time = 0;
-    // Measured (post-warmup) tallies, merged by collect().
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-    std::uint64_t errors = 0;
-    std::uint64_t stale_reads = 0;
-    std::uint64_t fresh_reads = 0;
-    LatencyHistogram read_latency;
-    LatencyHistogram write_latency;
-    LatencyHistogram staleness_age;
-    std::map<int, std::uint64_t> read_level_usage;
-  };
-
   /// Every configuration check that needs no simulation state runs here, in
   /// the member-init list, before anything is built or preloaded.
   static const RunConfig& validated(const RunConfig& cfg) {
@@ -292,29 +182,7 @@ class Runner final : public ClientEnv {
         !cfg.workload.open_loop.enabled ||
             cfg.warmup < cfg.workload.open_loop.duration,
         "open-loop warmup must end before generation stops");
-    if (cfg.num_shard_threads > 0) {
-      HARMONY_CHECK_MSG(cfg.shards_per_dc >= 1,
-                        "shards_per_dc must be >= 1 when num_shard_threads > 0");
-      HARMONY_CHECK_MSG(
-          cfg.cluster.dc_count * cfg.shards_per_dc <= 255,
-          "dc_count * shards_per_dc must be <= 255 (event shard ids are one "
-          "byte)");
-      const std::uint32_t shards = shard_count(cfg);
-      // The remaining cross-shard restriction; RunConfig::num_shard_threads
-      // documents the full list of sharded semantic deltas.
-      HARMONY_CHECK_MSG(shards == 1 || !cfg.workload.reroute_on_dc_outage,
-                        "workload.reroute_on_dc_outage sends requests to a "
-                        "foreign shard's coordinator; it needs "
-                        "dc_count * shards_per_dc == 1 when num_shard_threads "
-                        "> 0");
-      HARMONY_CHECK_MSG(
-          cluster::ShardMap::lookahead(cfg.cluster.latency,
-                                       cfg.cluster.dc_count, shards) > 0,
-          "sharded runs take their conservative lookahead from the latency "
-          "floors of every hop class that crosses shards: set "
-          "cluster.latency.cross_dc.floor > 0 with several DCs, and "
-          "same_rack/same_dc floors > 0 with shards_per_dc > 1");
-    }
+    validate_faults(cfg);
     return cfg;
   }
 
@@ -356,43 +224,51 @@ class Runner final : public ClientEnv {
             std::to_string(cluster::kMaxReplicas) + ")]");
   }
 
-  /// Event shards of a run: one unless num_shard_threads > 0, then
-  /// shards_per_dc per DC.
-  static std::uint32_t shard_count(const RunConfig& cfg) {
-    if (cfg.num_shard_threads == 0) return 1;
-    return static_cast<std::uint32_t>(cfg.cluster.dc_count * cfg.shards_per_dc);
-  }
-
-  /// Sharded slot pools never grow mid-window, so their reserve must cover
-  /// the worst-case in-flight population. The open-loop engine states that
-  /// bound explicitly (max_in_flight_per_dc, one coordinator slot per op,
-  /// doubled for hedge/repair legs); closed-loop runs keep the default.
-  static cluster::ClusterConfig sized_cluster_config(const RunConfig& cfg) {
-    cluster::ClusterConfig c = cfg.cluster;
-    if (cfg.num_shard_threads > 0 && cfg.workload.open_loop.enabled) {
-      const std::uint64_t want =
-          2ull * cfg.workload.open_loop.max_in_flight_per_dc;
-      if (want > c.sharded_slot_reserve) {
-        c.sharded_slot_reserve = static_cast<std::uint32_t>(want);
+  /// Every fault entry, checked before anything is scheduled: a bad one
+  /// would otherwise fail at its fault instant (or not at all, for a
+  /// non-positive degrade factor).
+  static void validate_faults(const RunConfig& cfg) {
+    const cluster::ClusterConfig& c = cfg.cluster;
+    const auto check_at = [](const std::string& name, SimTime at) {
+      HARMONY_CHECK_MSG(at >= 0, name + ".at = " + std::to_string(at) +
+                                     " must be >= 0");
+    };
+    const auto check_node = [&c](const std::string& name, net::NodeId node) {
+      HARMONY_CHECK_MSG(node < c.node_count,
+                        name + ".node = " + std::to_string(node) +
+                            " must be < cluster.node_count = " +
+                            std::to_string(c.node_count));
+    };
+    for (std::size_t i = 0; i < cfg.faults.size(); ++i) {
+      const std::string name = "faults[" + std::to_string(i) + "]";
+      check_at(name, cfg.faults[i].at);
+      check_node(name, cfg.faults[i].node);
+    }
+    for (std::size_t i = 0; i < cfg.fault_schedule.size(); ++i) {
+      const cluster::FaultSpec& f = cfg.fault_schedule[i];
+      const std::string name = "fault_schedule[" + std::to_string(i) + "]";
+      check_at(name, f.at);
+      switch (f.op) {
+        case cluster::FaultOp::kDcBlackout:
+        case cluster::FaultOp::kDcRestore:
+          HARMONY_CHECK_MSG(f.dc < c.dc_count,
+                            name + ".dc = " + std::to_string(f.dc) +
+                                " must be < cluster.dc_count = " +
+                                std::to_string(c.dc_count));
+          break;
+        case cluster::FaultOp::kDegradeWan:
+        case cluster::FaultOp::kRestoreWan:
+          break;
+        default:
+          check_node(name, f.node);
+      }
+      if (f.op == cluster::FaultOp::kDegradeNode ||
+          f.op == cluster::FaultOp::kDegradeWan) {
+        HARMONY_CHECK_MSG(std::isfinite(f.factor) && f.factor > 0,
+                          name + ".factor = " + std::to_string(f.factor) +
+                              " must be finite and > 0");
       }
     }
-    return c;
-  }
-
-  /// Runs in the constructor's member-init list: shards must be configured
-  /// after the Simulation exists but before the Cluster (or anything else)
-  /// schedules its first event.
-  static sim::Simulation& shard_configured(sim::Simulation& sim,
-                                           const RunConfig& cfg) {
-    if (cfg.num_shard_threads > 0) {
-      const std::uint32_t shards = shard_count(cfg);
-      sim.configure_shards(
-          shards,
-          cluster::ShardMap::lookahead(cfg.cluster.latency,
-                                       cfg.cluster.dc_count, shards),
-          cfg.num_shard_threads);
-    }
-    return sim;
   }
 
   bool hosts_clients(std::size_t dc) const {
@@ -400,169 +276,52 @@ class Runner final : public ClientEnv {
            dc == static_cast<std::size_t>(cfg_.workload.client_dc);
   }
 
-  /// The contiguous lane (event shard) range DC `d`'s workload runs on: its
-  /// key-range shards, or lane 0 with one shard.
-  cluster::ShardMap::Range lanes_of(std::size_t d) const {
-    return cluster_.shard_map().dc_range(static_cast<net::DcId>(d));
+  void begin_measurement() {
+    measuring_ = true;
+    ops_at_measure_start_ = ops_completed_;
+    for (auto& src : sources_) src->set_measuring(true);
   }
 
-  void init_lanes() {
-    const std::size_t n = sim_.shard_count();
-    lane_ = std::vector<LaneState>(n);
-    std::vector<bool> hosting(n, false);
-    for (std::size_t d = 0; d < cfg_.cluster.dc_count; ++d) {
-      const auto lanes = lanes_of(d);
-      for (std::uint32_t s = lanes.first; s < lanes.first + lanes.count; ++s) {
-        lane_[s].dc = static_cast<net::DcId>(d);
-        if (hosts_clients(d)) hosting[s] = true;
-      }
-    }
-    // Equal split of the op budget over the client-hosting lanes; the
-    // remainder goes to the lowest lane ids so totals match op_count
-    // exactly.
-    const auto active = static_cast<std::uint64_t>(
-        std::count(hosting.begin(), hosting.end(), true));
-    std::uint64_t handed = 0;
-    for (std::size_t s = 0; s < n; ++s) {
-      LaneState& lane = lane_[s];
-      // A single lane adopts op_rng_; several lanes fork their own streams
-      // after it.
-      lane.op_rng = n == 1 ? std::move(op_rng_)
-                           : sim_.fork_rng(0x0FAB5EED + 0x9E37 * (s + 1));
-      // Clone the already-built distribution instead of rebuilding: build()
-      // re-runs the O(record_count) zeta harmonic sums per lane, clone()
-      // just copies the finished constants (identical state either way).
-      lane.request_dist = request_dist_->clone();
-      if (hosting[s]) {
-        lane.ops_budget = cfg_.workload.op_count / active +
-                          (handed < cfg_.workload.op_count % active ? 1 : 0);
-        ++handed;
-      }
-    }
-  }
-
-  /// Register the fence and schedule the typed tick event for the next
-  /// policy retuning instant (several lanes; always called from setup or
-  /// from inside a fenced instant, never mid-window).
-  void arm_policy_tick(SimTime at) {
-    sim_.register_fence(at);
-    sim::TypedEvent ev;
-    ev.kind = sim::EventKind::kPolicyTick;
-    ev.target = static_cast<ClientEnv*>(this);
-    sim_.schedule_event_at(at, ev);
-  }
-
-  /// Warm-up boundary of lane `s` (runs on that lane's shard).
-  void begin_measurement(std::uint32_t s) {
-    LaneState& lane = lane_[s];
-    lane.measuring = true;
-    lane.ops_at_measure_start = lane.ops_completed;
-    for (auto& src : sources_) {
-      if (src->shard() == s) src->set_measuring(true);
-    }
-  }
-
-  /// One OpenLoopSource per lane of each client-hosting DC (one per DC when
-  /// serial or per-DC sharded) in place of the closed-loop clients; each
-  /// gets an equal share of the aggregate arrival rate (DC share split over
-  /// the DC's lanes), its own RNG fork, a clone of the shared request
-  /// distribution, and an interleaved insert-key lane (see
-  /// workload/open_loop.h). Sources are numbered over every (DC, lane)
-  /// pair, hosting or not; that number picks the RNG fork and insert lane.
+  /// One OpenLoopSource per client-hosting DC in place of the closed-loop
+  /// clients; each gets an equal share of the aggregate arrival rate, its
+  /// own RNG fork, a clone of the shared request distribution, and an
+  /// interleaved insert-key lane (see workload/open_loop.h). The DC number
+  /// picks the RNG fork and insert lane.
   void setup_open_loop() {
     const OpenLoopSpec& ol = cfg_.workload.open_loop;
     const std::size_t dcs = cfg_.cluster.dc_count;
     std::size_t active = 0;
-    std::uint64_t slots = 0;
     for (std::size_t d = 0; d < dcs; ++d) {
       if (hosts_clients(d)) ++active;
-      slots += lanes_of(d).count;
     }
     HARMONY_CHECK(active > 0);
     // One shared zeta computation for the million-user population; every
     // source copies the finished constants instead of re-summing O(users).
     const ScrambledZipfianKeys users(ol.user_count, ol.user_zipf_theta);
-    std::uint64_t slot = 0;
     for (std::size_t d = 0; d < dcs; ++d) {
-      const auto lanes = lanes_of(d);
-      for (std::uint32_t k = 0; k < lanes.count; ++k, ++slot) {
-        if (!hosts_clients(d)) continue;
-        const std::uint32_t shard = lanes.first + k;
-        sources_.push_back(std::make_unique<OpenLoopSource>(
-            *this, static_cast<net::DcId>(d), cfg_.workload,
-            ol.rate_per_s / static_cast<double>(active) /
-                static_cast<double>(lanes.count),
-            /*insert_lane=*/slot, /*insert_stride=*/slots,
-            sim_.fork_rng(0x01E27007 + 0x9E37 * (slot + 1)),
-            request_dist_->clone(), users, static_cast<std::uint8_t>(shard)));
-        ++lane_[shard].clients;
-      }
+      if (!hosts_clients(d)) continue;
+      sources_.push_back(std::make_unique<OpenLoopSource>(
+          *this, static_cast<net::DcId>(d), cfg_.workload,
+          ol.rate_per_s / static_cast<double>(active),
+          /*insert_lane=*/d, /*insert_stride=*/dcs,
+          sim_.fork_rng(0x01E27007 + 0x9E37 * (d + 1)), request_dist_->clone(),
+          users));
     }
-    for (auto& s : sources_) {
-      sim_.set_setup_shard(s->shard());
-      s->start();
-    }
-    sim_.set_setup_shard(0);
+    for (auto& s : sources_) s->start();
   }
 
   RunResult collect() {
-    RunResult r;
-    // Merge the lane tallies; every shard is quiescent here (the run loop
-    // joined its workers before returning).
-    std::uint64_t completed = 0;
-    std::uint64_t at_measure_start = 0;
-    SimTime finish_time = 0;
-    for (LaneState& s : lane_) {
-      r.reads += s.reads;
-      r.writes += s.writes;
-      r.errors += s.errors;
-      r.stale_reads += s.stale_reads;
-      r.fresh_reads += s.fresh_reads;
-      r.read_latency.merge(s.read_latency);
-      r.write_latency.merge(s.write_latency);
-      r.staleness_age.merge(s.staleness_age);
-      for (const auto& [k, n] : s.read_level_usage) {
-        r.read_level_usage[k] += n;
-      }
-      completed += s.ops_completed;
-      at_measure_start += s.ops_at_measure_start;
-      finish_time = std::max(finish_time, s.finish_time);
-    }
-    if (lane_.size() > 1) {
-      // Per-read judgements are deferred past the client callback under
-      // sharding; the oracle's whole-run aggregates are exact.
-      r.stale_reads = cluster_.oracle().stale_reads();
-      r.fresh_reads = cluster_.oracle().fresh_reads();
-      r.staleness_age = cluster_.oracle().staleness_age();
-    }
-    if (cfg_.record_trace) {
-      // Stitch the lane trace buffers into the global issue order: each lane
-      // is already (time, seq)-sorted by construction and seqs are unique
-      // across lanes, so one sort of the concatenation reproduces the merged
-      // stream byte-for-byte for every thread count.
-      r.trace = std::make_shared<Trace>();
-      std::vector<StampedTrace> all;
-      for (LaneState& s : lane_) {
-        all.insert(all.end(), s.trace.begin(), s.trace.end());
-      }
-      std::sort(all.begin(), all.end(),
-                [](const StampedTrace& a, const StampedTrace& b) {
-                  return a.rec.time != b.rec.time ? a.rec.time < b.rec.time
-                                                  : a.seq < b.seq;
-                });
-      r.trace->records.reserve(all.size());
-      for (const StampedTrace& t : all) r.trace->records.push_back(t.rec);
-    }
+    RunResult r = std::move(r_);
     r.label = cfg_.label;
     r.policy_name = policy_->name();
     r.ops = r.reads + r.writes;
     r.policy_switches = policy_->switches();
 
-    const SimTime end = finish_time > 0 ? finish_time : sim_.now();
+    const SimTime end = finish_time_ > 0 ? finish_time_ : sim_.now();
     r.total_wall_s = to_seconds(end);
     const SimTime measured_span = end - cfg_.warmup;
     r.duration_s = to_seconds(measured_span > 0 ? measured_span : end);
-    const std::uint64_t measured_ops = completed - at_measure_start;
+    const std::uint64_t measured_ops = ops_completed_ - ops_at_measure_start_;
     r.throughput = r.duration_s > 0
                        ? static_cast<double>(measured_ops) / r.duration_s
                        : 0.0;
@@ -601,7 +360,6 @@ class Runner final : public ClientEnv {
     r.unavailable = cluster_.unavailable();
     r.read_repairs = cluster_.read_repairs_sent();
     r.sim_events = sim_.events_processed();
-    r.mailbox_spills = sim_.mailbox_spills();
     r.retries = cluster_.retries();
     r.hedges_fired = cluster_.hedges_fired();
     r.hedge_wins = cluster_.hedge_wins();
@@ -628,15 +386,22 @@ class Runner final : public ClientEnv {
   sim::Simulation sim_;
   cluster::Cluster cluster_;
   monitor::Monitor monitor_;
-  /// The op stream RNG of a single lane (init_lanes); forked here so its
-  /// master-stream position is the same whatever the lane count.
   Rng op_rng_;
   std::unique_ptr<KeyDistribution> request_dist_;
   std::unique_ptr<policy::ConsistencyPolicy> policy_;
   std::vector<std::unique_ptr<Client>> clients_;
   std::vector<std::unique_ptr<OpenLoopSource>> sources_;
   sim::PeriodicTimer policy_timer_;
-  std::vector<LaneState> lane_;
+
+  /// Measured (post-warmup) tallies and the trace; collect() completes it.
+  RunResult r_;
+  std::uint64_t ops_issued_ = 0;
+  std::uint64_t ops_completed_ = 0;
+  std::uint64_t ops_at_measure_start_ = 0;
+  std::uint64_t next_insert_key_ = 0;
+  std::size_t clients_finished_ = 0;
+  bool measuring_ = false;
+  SimTime finish_time_ = 0;
 };
 
 }  // namespace

@@ -40,43 +40,10 @@ struct RunConfig {
   /// proportional to op_count; off by default.
   bool record_trace = false;
 
-  /// Sharded execution (the parallel perf path; see sim/shard.h and
-  /// docs/INVARIANTS.md "Cross-shard determinism"): > 0 partitions the
-  /// simulation into shards_per_dc event shards per DC driven by this many
-  /// worker threads. Any thread count reproduces the same (time, seq)
-  /// merge, and `1` runs it merged-serial on the calling thread. The
-  /// conservative lookahead is the minimum latency floor over every hop
-  /// class that can cross shards (cluster::ShardMap::lookahead), so it must
-  /// be positive: cluster.latency.cross_dc.floor > 0 with several DCs, and
-  /// same_rack/same_dc floors > 0 with shards_per_dc > 1.
-  ///
-  /// Semantic deltas with more than one shard (each deterministic across
-  /// thread counts; a single-DC run with shards_per_dc == 1 has none):
-  ///   * the monitor attaches and policy retuning ticks run, but both are
-  ///     fed from per-shard logs replayed in (time, seq) order at window
-  ///     barriers / fenced instants — op timestamps are exact, ticks land
-  ///     on the fence grid;
-  ///   * record_trace captures into per-shard buffers stitched by
-  ///     (time, seq) at collect — the merged trace is byte-identical for
-  ///     every thread count;
-  ///   * per-read ReadResult::stale stays false (the deferred oracle judges
-  ///     at barriers); staleness counters come from the oracle's whole-run
-  ///     aggregates;
-  ///   * workload.reroute_on_dc_outage is rejected (coordinators must stay
-  ///     in the request's shard).
-  /// 0 (default) = the simulation's default one-shard set: one queue, no
-  /// lookahead windows, none of the deltas above.
+  /// Inert: every run executes on one event queue, and these two fields
+  /// are ignored (and not validated). They stay only until the repo
+  /// benchmark stops setting them.
   unsigned num_shard_threads = 0;
-
-  /// Key-range shards per DC (sharded runs only; ignored when
-  /// num_shard_threads == 0). 1 (default) gives each DC one shard. With
-  /// S > 1 every DC's token space splits into S contiguous
-  /// ranges (cluster/shard_map.h): each shard owns the nodes dealt to it,
-  /// the keys hashing into its range, and a full workload lane (clients or
-  /// an open-loop source, RNG fork, key distribution clone, insert lane) —
-  /// that is how a single-DC topology scales past one worker thread.
-  /// Must be >= 1 with dc_count * shards_per_dc <= 255, and every DC needs
-  /// >= shards_per_dc nodes.
   unsigned shards_per_dc = 1;
 
   /// Scheduled failure injection: kill/revive nodes mid-run (availability
@@ -142,10 +109,7 @@ struct RunResult {
   std::uint64_t unavailable = 0;
   std::uint64_t read_repairs = 0;
   std::uint64_t sim_events = 0;
-  /// Cross-shard mailbox slab overflows (sharded runs; 0 with one shard or
-  /// one thread). Nonzero means cross-shard traffic outgrew the fixed
-  /// per-pair mailbox slab within a window and spilled into growable
-  /// overflow storage; the run stays deterministic, only slower.
+  /// Inert: always 0 (kept until the repo benchmark stops reading it).
   std::uint64_t mailbox_spills = 0;
   double total_wall_s = 0;  ///< including warmup
 

@@ -117,14 +117,9 @@ std::vector<SweepStats> SweepRunner::run() {
 
   // Flat index = cell * seeds + replicate: the simulation runs outside the
   // sink's lock, and the slot write is the only shared-state touch.
-  const bool parallel_grid = opts_.jobs != 1 && total > 1;
   const auto run_one = [&](std::size_t flat) {
     RunConfig cfg = cells_[flat / seeds];
     cfg.seed += flat % seeds;
-    // No nested parallelism: a parallel grid already saturates the pool, so
-    // sharded cells keep their shard layout but run it merged-serial. The
-    // results are identical by the sharding determinism contract.
-    if (parallel_grid && cfg.num_shard_threads > 1) cfg.num_shard_threads = 1;
     sink.put(flat, run_experiment(cfg));
   };
 

@@ -64,7 +64,7 @@ TEST(Cluster, PreloadKeepsRecordsInBaseLayer) {
   }
   EXPECT_GE(past_even_split, 3u) << "placement no longer skewed enough";
 
-  // One shard: the k-th preloaded key carries write id k + 1 everywhere.
+  // The k-th preloaded key carries write id k + 1 everywhere.
   for (Key k = 0; k < kCount; ++k) {
     for (const net::NodeId r : c.replicas_for(k)) {
       const auto v = c.node(r).store().read(k);

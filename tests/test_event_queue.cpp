@@ -27,7 +27,7 @@ static_assert(std::is_nothrow_move_constructible_v<EventFn>);
 /// path (run_before); `when` receives the event's time.
 EventQueue::PopResult run_one(EventQueue& q, SimTime horizon, SimTime& when) {
   return q.run_before(
-      horizon, [&when](SimTime t, std::uint64_t /*seq*/) { when = t; },
+      horizon, [&when](SimTime t) { when = t; },
       [](const TypedEvent&) {});
 }
 

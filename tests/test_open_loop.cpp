@@ -8,8 +8,8 @@
 //   2. Accounting — overload is explicit: every intended arrival ends the
 //      run as completed, shed, still-queued, or still-in-flight, and the
 //      ledger conserves exactly.
-//   3. Determinism and cost — byte-identical results for any shard-thread
-//      count and rerun, and a steady state that never touches the heap.
+//   3. Determinism and cost — byte-identical results on rerun, and a steady
+//      state that never touches the heap.
 #include "workload/open_loop.h"
 
 #include <gtest/gtest.h>
@@ -102,66 +102,6 @@ TEST(OpenLoop, SeedChangesOutcome) {
   const auto a = run_experiment(open_run(5000, 17));
   const auto b = run_experiment(open_run(5000, 18));
   EXPECT_NE(a.open_loop.arrivals, b.open_loop.arrivals);
-}
-
-// ---- sharded execution ------------------------------------------------------
-
-RunConfig sharded_open_run(unsigned threads, double rate = 6000) {
-  RunConfig cfg = open_run(rate, 29);
-  cfg.cluster.node_count = 9;
-  cfg.cluster.dc_count = 3;
-  cfg.cluster.latency.cross_dc.floor = kMillisecond;
-  cfg.num_shard_threads = threads;
-  return cfg;
-}
-
-void expect_same_open_run(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.reads, b.reads);
-  EXPECT_EQ(a.writes, b.writes);
-  EXPECT_EQ(a.errors, b.errors);
-  EXPECT_EQ(a.sim_events, b.sim_events);
-  EXPECT_EQ(a.net.total_bytes(), b.net.total_bytes());
-  EXPECT_EQ(a.read_latency.count(), b.read_latency.count());
-  EXPECT_EQ(a.read_latency.percentile(99), b.read_latency.percentile(99));
-  EXPECT_EQ(a.write_latency.percentile(99), b.write_latency.percentile(99));
-  EXPECT_DOUBLE_EQ(a.throughput, b.throughput);
-  EXPECT_EQ(a.open_loop.arrivals, b.open_loop.arrivals);
-  EXPECT_EQ(a.open_loop.issued, b.open_loop.issued);
-  EXPECT_EQ(a.open_loop.completed, b.open_loop.completed);
-  EXPECT_EQ(a.open_loop.failed, b.open_loop.failed);
-  EXPECT_EQ(a.open_loop.shed_queue_full, b.open_loop.shed_queue_full);
-  EXPECT_EQ(a.open_loop.queued_at_end, b.open_loop.queued_at_end);
-  EXPECT_EQ(a.open_loop.in_flight_at_end, b.open_loop.in_flight_at_end);
-  EXPECT_EQ(a.open_loop.sla_ok, b.open_loop.sla_ok);
-  EXPECT_EQ(a.open_loop.sla_total, b.open_loop.sla_total);
-  EXPECT_EQ(a.open_loop.queueing_delay.count(),
-            b.open_loop.queueing_delay.count());
-  EXPECT_EQ(a.open_loop.queueing_delay.percentile(99),
-            b.open_loop.queueing_delay.percentile(99));
-}
-
-TEST(OpenLoop, ShardedRunIsThreadCountInvariant) {
-  const auto serial = run_experiment(sharded_open_run(1));
-  const auto two = run_experiment(sharded_open_run(2));
-  const auto four = run_experiment(sharded_open_run(4));
-  EXPECT_GT(serial.reads, 1000u);
-  expect_ledger_conserved(serial.open_loop);
-  expect_same_open_run(serial, two);
-  expect_same_open_run(serial, four);
-}
-
-TEST(OpenLoop, ShardedOverloadIsThreadCountInvariant) {
-  auto make = [](unsigned threads) {
-    auto cfg = sharded_open_run(threads, 50'000);
-    cfg.workload.open_loop.max_in_flight_per_dc = 64;
-    cfg.workload.open_loop.queue_capacity_per_dc = 128;
-    return cfg;
-  };
-  const auto serial = run_experiment(make(1));
-  const auto four = run_experiment(make(4));
-  EXPECT_GT(serial.open_loop.shed_queue_full, 0u);
-  expect_ledger_conserved(serial.open_loop);
-  expect_same_open_run(serial, four);
 }
 
 // ---- arrival processes and rate curves -------------------------------------

@@ -607,22 +607,12 @@ struct ClusterRunResult {
   std::uint64_t fingerprint = 0;
   std::uint64_t events = 0;
   SimTime end_time = 0;
-  std::uint64_t spills = 0;  ///< cross-shard mailbox overflows (sharded runs)
 };
 
 ClusterRunResult run_cluster_schedule(std::uint64_t seed,
-                                      bool resilience = false,
-                                      bool single_shard = false) {
+                                      bool resilience = false) {
   Rng setup(seed);
   sim::Simulation sim(seed);
-  if (single_shard) {
-    // K == 1 anchor: a configured one-shard set cut into 1 ms lookahead
-    // windows must be byte-identical to the default set (no lookahead, one
-    // window per fence interval), on the exact same schedules — including
-    // anti-entropy, kill/revive closures, and DC blackouts, all of which
-    // only shard_count > 1 restricts.
-    sim.configure_shards(1, kMillisecond, 1);
-  }
 
   cluster::ClusterConfig cfg;
   cfg.dc_count = 1 + setup.uniform_u64(2);
@@ -848,584 +838,6 @@ TEST(RequestPathDiff, ResilienceKnobsOnMatchReferenceAndReproduce) {
   for (const auto seed : extra_seeds()) run_block(seed, 4);
   std::printf("[diff] resilience knobs-on cluster schedules: %llu\n",
               (unsigned long long)schedules);
-}
-
-// ------------------------------------------------------ sharded execution diff
-
-TEST(RequestPathDiff, SingleShardMatchesUnshardedByteIdentical) {
-  // The same schedules as the main cluster harness, replayed on a configured
-  // one-shard set whose run is cut into 1 ms lookahead windows. Window
-  // boundaries (and the barrier flush at each) must not change anything:
-  // the output must match the default set — one window per fence interval —
-  // bit for bit.
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    const std::uint64_t seed = 0xC10C0ULL + i;
-    const bool resilience = (i % 2) == 1;
-    const ClusterRunResult flat = run_cluster_schedule(seed, resilience);
-    ASSERT_FALSE(::testing::Test::HasFailure())
-        << "default-set reference diverged at seed " << seed;
-    const ClusterRunResult single =
-        run_cluster_schedule(seed, resilience, /*single_shard=*/true);
-    ASSERT_FALSE(::testing::Test::HasFailure())
-        << "single-shard run diverged at seed " << seed;
-    ASSERT_EQ(flat.fingerprint, single.fingerprint)
-        << "lookahead-windowed one-shard set is not byte-identical to the "
-           "default set, seed " << seed;
-    ASSERT_EQ(flat.events, single.events) << "seed " << seed;
-    ASSERT_EQ(flat.end_time, single.end_time) << "seed " << seed;
-  }
-}
-
-/// Options for one sharded 3-DC scenario (see run_sharded_schedule).
-struct ShardedOpts {
-  unsigned threads = 1;
-  std::uint32_t mailbox_capacity = sim::Simulation::kDefaultMailboxCapacity;
-  bool faults = false;      ///< fenced kill/revive/degrade script mid-run
-  bool resilience = false;  ///< hedging / retries / admission knobs on
-  bool quiet_dc2 = false;   ///< DC 2 gets no replicas and no clients
-};
-
-/// Per-DC client-side bookkeeping. Each instance is touched only by its DC's
-/// shard during the run; the alignment keeps concurrently-updated counters
-/// off shared cache lines.
-struct alignas(64) DcCtx {
-  std::uint64_t issued = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t fp = kFnvOffset;
-};
-
-/// One 3-DC EC2-style scenario on per-DC event shards. The schedule honours
-/// every sharded-execution restriction: coordinators stay in the client's DC
-/// (NTS placement, local traffic only), anti-entropy off, fault instants
-/// fenced via schedule_fault, and the cross-DC latency floored at the
-/// lookahead. The fingerprint covers everything the run can observe — the
-/// per-DC client result streams, the full oracle diff against the reference
-/// model (the per-shard logs are merged by (time, seq) at window barriers,
-/// i.e. in exact serial call order), hint/repair/net counters — but NOT
-/// mailbox spills, which legitimately differ between the serial executor (no
-/// mailboxes) and the windowed one. threads == 1 is the merged-serial
-/// reference order; every other thread count must reproduce it bit for bit.
-ClusterRunResult run_sharded_schedule(std::uint64_t seed,
-                                      const ShardedOpts& opts) {
-  Rng setup(seed);
-  sim::Simulation sim(seed);
-
-  cluster::ClusterConfig cfg;
-  cfg.dc_count = 3;
-  const std::size_t per_dc = 3 + setup.uniform_u64(2);
-  cfg.node_count = cfg.dc_count * per_dc;
-  cfg.use_nts = true;  // per-DC placement keeps local quorums meaningful
-  // rf == 2 under NTS splits [1, 1, 0]: DC 2 holds no replicas, so with its
-  // clients also silenced its shard processes zero events all run.
-  cfg.rf = opts.quiet_dc2 ? 2 : 3;
-  const SimDuration lookahead = kMillisecond;
-  cfg.latency.cross_dc.base = 2 * kMillisecond;
-  cfg.latency.cross_dc.floor = lookahead;
-  if (setup.chance(0.3)) cfg.request_timeout = 30 * kMillisecond;
-  if (opts.resilience) {
-    cluster::ResilienceConfig& rc = cfg.resilience;
-    rc.hedge_reads = setup.chance(0.8);
-    rc.hedge_quantile = 0.5 + setup.uniform() * 0.45;
-    rc.hedge_fallback_delay = msec(1 + setup.uniform_u64(5));
-    rc.read_retries = static_cast<int>(setup.uniform_u64(3));
-    rc.retry_backoff = msec(1 + setup.uniform_u64(4));
-    if (setup.chance(0.5)) {
-      rc.admission_rate = 500 + static_cast<double>(setup.uniform_u64(4000));
-      rc.admission_burst = 20 + static_cast<double>(setup.uniform_u64(100));
-      rc.admission_mode = setup.chance(0.5) ? cluster::AdmissionMode::kShed
-                                            : cluster::AdmissionMode::kDelay;
-    }
-  }
-
-  sim.configure_shards(3, lookahead, opts.threads, opts.mailbox_capacity);
-  cluster::Cluster c(sim, cfg);
-
-  DiffSink sink;
-  c.oracle().set_trace_sink(&sink);
-
-  const std::uint64_t key_count = 40 + setup.uniform_u64(120);
-  c.preload_range(key_count / 2, 256);
-
-  const SimTime horizon = 2 * kSecond;
-  if (opts.faults) {
-    // Node-scoped faults only: DC blackouts would force cross-DC coordinator
-    // failover, which sharded runs reject by contract. One kill/revive pair
-    // per DC (never sinking a DC below one alive node), at instants that are
-    // not lookahead multiples — the fences land mid-window on purpose.
-    for (std::size_t d = 0; d < cfg.dc_count; ++d) {
-      const auto victim =
-          static_cast<net::NodeId>(d * per_dc + setup.uniform_u64(per_dc));
-      const SimTime down = static_cast<SimTime>(
-          100 * kMillisecond + setup.uniform_u64(kSecond));
-      const auto outage = static_cast<SimDuration>(
-          100 * kMillisecond + setup.uniform_u64(400 * kMillisecond));
-      c.schedule_fault({down, cluster::FaultOp::kKillNode, victim, 0, 1.0});
-      c.schedule_fault(
-          {down + outage, cluster::FaultOp::kReviveNode, victim, 0, 1.0});
-    }
-    // Degradation windows: factors stay >= 1 so no link ever undercuts the
-    // lookahead floor.
-    const auto slow =
-        static_cast<net::NodeId>(setup.uniform_u64(cfg.node_count));
-    const auto deg_at = static_cast<SimTime>(1 + setup.uniform_u64(kSecond));
-    c.schedule_fault({deg_at, cluster::FaultOp::kDegradeNode, slow, 0,
-                      2.0 + static_cast<double>(setup.uniform_u64(8))});
-    c.schedule_fault({deg_at + 300 * kMillisecond,
-                      cluster::FaultOp::kRestoreNode, slow, 0, 1.0});
-    const auto wan_at = static_cast<SimTime>(1 + setup.uniform_u64(kSecond));
-    c.schedule_fault({wan_at, cluster::FaultOp::kDegradeWan, 0, 0,
-                      1.5 + static_cast<double>(setup.uniform_u64(4))});
-    c.schedule_fault({wan_at + 250 * kMillisecond,
-                      cluster::FaultOp::kRestoreWan, 0, 0, 1.0});
-  }
-
-  DcCtx ctx[3];
-  for (std::uint32_t d = 0; d < 3; ++d) {
-    if (opts.quiet_dc2 && d == 2) continue;
-    // Setup-time closures book into (and later run on) DC d's shard: every
-    // client's issue instant, callback, and counter stays shard-local.
-    sim.set_setup_shard(d);
-    Rng traffic(mix(kFnvOffset, seed * 8 + d));
-    DcCtx& cx = ctx[d];
-    const auto dc = static_cast<net::DcId>(d);
-    const int ops = 250 + static_cast<int>(traffic.uniform_u64(350));
-    for (int i = 0; i < ops; ++i) {
-      const SimTime at = static_cast<SimTime>(traffic.uniform_u64(horizon));
-      const cluster::Key key = traffic.uniform_u64(key_count);
-      const int k = 1 + static_cast<int>(traffic.uniform_u64(
-                            static_cast<std::uint64_t>(cfg.rf)));
-      cluster::ReplicaRequirement req = cluster::resolve_count(k, cfg.rf);
-      const double lvl = traffic.uniform();
-      if (lvl < 0.2) {
-        req = cluster::resolve(cluster::Level::kLocalQuorum, cfg.rf,
-                               cfg.local_rf(dc));
-      } else if (lvl < 0.3 && !opts.quiet_dc2) {
-        req = cluster::resolve(cluster::Level::kEachQuorum, cfg.rf,
-                               cfg.local_rf(dc));
-      }
-      const bool is_write = traffic.chance(0.35);
-      const bool storm = traffic.chance(0.02);
-      ++cx.issued;
-      const int rf = cfg.rf;
-      sim.schedule_at(at, [&c, &cx, key, dc, req, is_write, storm, rf] {
-        if (is_write) {
-          c.client_write(dc, key, 512, req,
-                         [&cx](const cluster::WriteResult& w) {
-                           ++cx.completed;
-                           cx.fp = mix(cx.fp, w.ok ? 2u : 3u);
-                           cx.fp = mix(cx.fp, static_cast<std::uint64_t>(
-                                                  w.version.timestamp));
-                         });
-          if (storm) {
-            // Same-instant CL=ONE write burst: many cross-shard fan-out legs
-            // land in one lookahead window (mailbox pressure).
-            for (int s = 0; s < 15; ++s) {
-              ++cx.issued;
-              c.client_write(dc, key, 128, cluster::resolve_count(1, rf),
-                             [&cx](const cluster::WriteResult& w) {
-                               ++cx.completed;
-                               cx.fp = mix(cx.fp, w.ok ? 2u : 3u);
-                             });
-            }
-          }
-        } else {
-          c.client_read(dc, key, req, [&cx](const cluster::ReadResult& r) {
-            ++cx.completed;
-            cx.fp = mix(cx.fp, (r.ok ? 1u : 0u) | (r.found ? 2u : 0u) |
-                                   (r.shed ? 4u : 0u));
-            cx.fp = mix(cx.fp,
-                        static_cast<std::uint64_t>(r.version.timestamp));
-            cx.fp = mix(cx.fp, r.version.seq);
-            cx.fp = mix(cx.fp, r.value_size);
-            cx.fp = mix(cx.fp, static_cast<std::uint64_t>(
-                                   r.replicas_contacted));
-          });
-        }
-      });
-    }
-  }
-  sim.set_setup_shard(0);
-
-  sim.run();
-
-  std::uint64_t fp = sink.fp;
-  for (std::uint32_t d = 0; d < 3; ++d) {
-    EXPECT_EQ(ctx[d].completed, ctx[d].issued)
-        << "seed " << seed << " dc " << d << " threads " << opts.threads;
-    fp = mix(fp, ctx[d].issued);
-    fp = mix(fp, ctx[d].fp);
-  }
-  EXPECT_EQ(sink.mismatches, 0)
-      << "seed " << seed
-      << ": merged oracle log diverged from the reference model";
-  EXPECT_EQ(c.oracle().inflight_reads(), 0u) << "seed " << seed;
-  EXPECT_EQ(c.oracle().fresh_reads(), sink.ref.fresh_reads())
-      << "seed " << seed;
-  EXPECT_EQ(c.oracle().stale_reads(), sink.ref.stale_reads())
-      << "seed " << seed;
-  for (const double p : kPercentileGrid) {
-    EXPECT_EQ(c.oracle().staleness_age().percentile(p),
-              sink.ref.staleness_age().percentile(p))
-        << "seed " << seed << " p=" << p;
-  }
-
-  fp = mix(fp, c.oracle().fresh_reads());
-  fp = mix(fp, c.oracle().stale_reads());
-  fp = mix(fp, c.timeouts());
-  fp = mix(fp, c.unavailable());
-  fp = mix(fp, c.retries());
-  fp = mix(fp, c.hedges_fired());
-  fp = mix(fp, c.hedge_wins());
-  fp = mix(fp, c.sheds());
-  fp = mix(fp, c.hints_stored());
-  fp = mix(fp, c.hints_replayed());
-  fp = mix(fp, c.replica_ops());
-  fp = mix(fp, c.read_repairs_sent());
-  fp = mix(fp, c.net_stats().total_bytes());
-
-  ClusterRunResult out;
-  out.fingerprint = fp;
-  out.events = sim.events_processed();
-  out.end_time = sim.now();
-  out.spills = sim.mailbox_spills();
-  return out;
-}
-
-/// Run one sharded scenario at 1, 2, and 4 threads and assert the parallel
-/// executions reproduce the merged-serial reference bit for bit. Returns the
-/// serial result for scenario-specific follow-up assertions.
-ClusterRunResult assert_sharded_thread_invariance(std::uint64_t seed,
-                                                  ShardedOpts opts) {
-  opts.threads = 1;
-  const ClusterRunResult serial = run_sharded_schedule(seed, opts);
-  EXPECT_FALSE(::testing::Test::HasFailure())
-      << "sharded serial reference diverged at seed " << seed;
-  for (const unsigned threads : {2u, 4u}) {
-    opts.threads = threads;
-    const ClusterRunResult par = run_sharded_schedule(seed, opts);
-    EXPECT_FALSE(::testing::Test::HasFailure())
-        << "sharded run diverged at seed " << seed << " threads " << threads;
-    EXPECT_EQ(serial.fingerprint, par.fingerprint)
-        << "sharded run diverged from serial reference, seed " << seed
-        << " threads " << threads;
-    EXPECT_EQ(serial.events, par.events)
-        << "seed " << seed << " threads " << threads;
-    EXPECT_EQ(serial.end_time, par.end_time)
-        << "seed " << seed << " threads " << threads;
-  }
-  return serial;
-}
-
-TEST(RequestPathDiff, ShardedRunByteIdenticalAcrossThreadCounts) {
-  std::uint64_t schedules = 0;
-  auto run_block = [&](std::uint64_t base, std::uint64_t count) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      ShardedOpts opts;
-      opts.faults = (i % 2) == 1;      // fenced kill/revive/degrade script
-      opts.resilience = (i % 3) == 1;  // hedges racing cross-shard responses
-      assert_sharded_thread_invariance(base + i, opts);
-      ASSERT_FALSE(::testing::Test::HasFailure())
-          << "sharded diff diverged at seed " << base + i;
-      ++schedules;
-    }
-  };
-  run_block(0x5AA4DED0ULL, 8);
-  for (const auto seed : extra_seeds()) run_block(seed, 2);
-  std::printf("[diff] sharded cluster schedules: %llu\n",
-              (unsigned long long)schedules);
-}
-
-TEST(RequestPathDiff, ShardedKillReviveMidWindowByteIdentical) {
-  // Every scenario in this block carries the fault script: each fault
-  // instant becomes a fence the windowed executor must split on, so windows
-  // repeatedly end mid-lookahead and the kill/revive (plus hint replay on
-  // revival) executes merged-serial between parallel windows.
-  std::uint64_t schedules = 0;
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    ShardedOpts opts;
-    opts.faults = true;
-    opts.resilience = (i % 2) == 1;
-    assert_sharded_thread_invariance(0xFA57ULL + i, opts);
-    ASSERT_FALSE(::testing::Test::HasFailure())
-        << "sharded fault diff diverged at seed " << 0xFA57ULL + i;
-    ++schedules;
-  }
-  std::printf("[diff] sharded fault schedules: %llu\n",
-              (unsigned long long)schedules);
-}
-
-TEST(RequestPathDiff, ShardedTinyMailboxBackpressureIsDeterministic) {
-  // mailbox_capacity == 1: nearly every multi-leg cross-DC fan-out overflows
-  // into the spill vector. Backpressure must be an observability event, not
-  // a behavior change — parallel fingerprints still match the serial
-  // reference (which never touches a mailbox and so never spills).
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    const std::uint64_t seed = 0x3B0E5ULL + i;
-    ShardedOpts opts;
-    opts.mailbox_capacity = 1;
-    ShardedOpts probe = opts;
-    probe.threads = 4;
-    const ClusterRunResult par = run_sharded_schedule(seed, probe);
-    EXPECT_GT(par.spills, 0u)
-        << "seed " << seed
-        << ": capacity-1 mailboxes were expected to overflow";
-    const ClusterRunResult serial = assert_sharded_thread_invariance(seed, opts);
-    ASSERT_FALSE(::testing::Test::HasFailure())
-        << "tiny-mailbox diff diverged at seed " << seed;
-    EXPECT_EQ(serial.spills, 0u) << "serial mode must not touch mailboxes";
-  }
-}
-
-// --------------------------------------------------- key-range sharding diff
-
-/// Options for one key-range-sharded scenario (run_key_range_schedule).
-struct KeyRangeOpts {
-  unsigned threads = 1;
-  std::uint32_t shards = 4;  ///< key-range shards inside every DC
-  bool second_dc = false;    ///< add a DC 1, split the same way
-  bool anti_entropy = false; ///< fenced per-shard sweeps (lifted restriction)
-  bool faults = false;       ///< fenced kill/revive inside the split DC
-};
-
-/// One scenario with every DC split into `shards` key-range shards. Traffic is
-/// routed the way the workload layer does it: every operation is issued from
-/// home_shard(dc, key), so replicas of a key routinely live on *other*
-/// shards of the same DC and the write fan-out crosses shards intra-DC. The
-/// lookahead is the intra-DC floor (well under cross_dc), so windows are
-/// short and the intra-DC legs ride the mailbox constantly. threads == 1 is
-/// the merged-serial reference; every other thread count must reproduce its
-/// fingerprint bit for bit.
-ClusterRunResult run_key_range_schedule(std::uint64_t seed,
-                                        const KeyRangeOpts& opts) {
-  Rng setup(seed);
-  sim::Simulation sim(seed);
-
-  cluster::ClusterConfig cfg;
-  cfg.dc_count = opts.second_dc ? 2 : 1;
-  const std::size_t per_dc = 2 * opts.shards;  // two coordinator candidates
-  cfg.node_count = cfg.dc_count * per_dc;      // per shard, kills included
-  cfg.use_nts = true;
-  cfg.rf = 3;
-  // Intra-DC hops now cross shards, so the conservative lookahead is the
-  // *intra*-DC floor — the floors must cover it (the cluster ctor enforces
-  // this), and cross-DC keeps its own larger floor.
-  const SimDuration lookahead = usec(150);
-  cfg.latency.same_rack.floor = lookahead;
-  cfg.latency.same_dc.floor = lookahead;
-  cfg.latency.cross_dc.base = 2 * kMillisecond;
-  cfg.latency.cross_dc.floor = kMillisecond;
-  if (setup.chance(0.3)) cfg.request_timeout = 30 * kMillisecond;
-  if (opts.anti_entropy) cfg.anti_entropy_period = 50 * kMillisecond;
-
-  sim.configure_shards(
-      static_cast<std::uint32_t>(cfg.dc_count) * opts.shards, lookahead,
-      opts.threads);
-  cluster::Cluster c(sim, cfg);
-
-  DiffSink sink;
-  c.oracle().set_trace_sink(&sink);
-
-  const std::uint64_t key_count = 60 + setup.uniform_u64(120);
-  c.preload_range(key_count / 2, 256);
-
-  const SimTime horizon = kSecond;
-  if (opts.faults) {
-    // Kill/revive one node per key-range shard of DC 0 (each shard keeps a
-    // second coordinator candidate alive); the fault instants are fences, so
-    // the windowed executor splits mid-lookahead around them.
-    for (std::uint32_t s = 0; s < opts.shards; ++s) {
-      const auto victim = static_cast<net::NodeId>(
-          s + opts.shards * setup.uniform_u64(2));
-      const SimTime down = static_cast<SimTime>(
-          50 * kMillisecond + setup.uniform_u64(horizon / 2));
-      const auto outage = static_cast<SimDuration>(
-          50 * kMillisecond + setup.uniform_u64(200 * kMillisecond));
-      c.schedule_fault({down, cluster::FaultOp::kKillNode, victim, 0, 1.0});
-      c.schedule_fault(
-          {down + outage, cluster::FaultOp::kReviveNode, victim, 0, 1.0});
-    }
-  }
-
-  // One traffic context per shard, touched only by that shard's events.
-  std::vector<DcCtx> ctx(sim.shard_count());
-  Rng traffic(mix(kFnvOffset, seed * 16 + opts.shards));
-  const int ops = 400 + static_cast<int>(traffic.uniform_u64(400));
-  for (int i = 0; i < ops; ++i) {
-    const SimTime at = static_cast<SimTime>(traffic.uniform_u64(horizon));
-    const cluster::Key key = traffic.uniform_u64(key_count);
-    const auto dc = static_cast<net::DcId>(
-        opts.second_dc && traffic.chance(0.3) ? 1 : 0);
-    const int k = 1 + static_cast<int>(traffic.uniform_u64(
-                          static_cast<std::uint64_t>(cfg.rf)));
-    cluster::ReplicaRequirement req = cluster::resolve_count(k, cfg.rf);
-    if (traffic.uniform() < 0.2) {
-      req = cluster::resolve(cluster::Level::kLocalQuorum, cfg.rf,
-                             cfg.local_rf(dc));
-    }
-    const bool is_write = traffic.chance(0.4);
-    const bool storm = traffic.chance(0.02);
-    // The workload-layer routing rule: the op lives on its key's home shard
-    // within the issuing DC. Its callback and counters stay there too.
-    const std::uint32_t shard = c.home_shard(dc, key);
-    sim.set_setup_shard(shard);
-    DcCtx& cx = ctx[shard];
-    ++cx.issued;
-    const int rf = cfg.rf;
-    sim.schedule_at(at, [&c, &cx, key, dc, req, is_write, storm, rf] {
-      if (is_write) {
-        c.client_write(dc, key, 512, req,
-                       [&cx](const cluster::WriteResult& w) {
-                         ++cx.completed;
-                         cx.fp = mix(cx.fp, w.ok ? 2u : 3u);
-                         cx.fp = mix(cx.fp, static_cast<std::uint64_t>(
-                                                w.version.timestamp));
-                       });
-        if (storm) {
-          // Same-key CL=ONE burst: every leg fans out to replicas on other
-          // shards of the DC within one short intra-DC window.
-          for (int s = 0; s < 15; ++s) {
-            ++cx.issued;
-            c.client_write(dc, key, 128, cluster::resolve_count(1, rf),
-                           [&cx](const cluster::WriteResult& w) {
-                             ++cx.completed;
-                             cx.fp = mix(cx.fp, w.ok ? 2u : 3u);
-                           });
-          }
-        }
-      } else {
-        c.client_read(dc, key, req, [&cx](const cluster::ReadResult& r) {
-          ++cx.completed;
-          cx.fp = mix(cx.fp, (r.ok ? 1u : 0u) | (r.found ? 2u : 0u) |
-                                 (r.shed ? 4u : 0u));
-          cx.fp = mix(cx.fp, static_cast<std::uint64_t>(r.version.timestamp));
-          cx.fp = mix(cx.fp, r.version.seq);
-          cx.fp = mix(cx.fp, r.value_size);
-          cx.fp = mix(cx.fp,
-                      static_cast<std::uint64_t>(r.replicas_contacted));
-        });
-      }
-    });
-  }
-  sim.set_setup_shard(0);
-
-  sim.run();
-
-  std::uint64_t fp = sink.fp;
-  for (std::size_t s = 0; s < ctx.size(); ++s) {
-    EXPECT_EQ(ctx[s].completed, ctx[s].issued)
-        << "seed " << seed << " shard " << s << " threads " << opts.threads;
-    fp = mix(fp, ctx[s].issued);
-    fp = mix(fp, ctx[s].fp);
-  }
-  EXPECT_EQ(sink.mismatches, 0)
-      << "seed " << seed
-      << ": merged oracle log diverged from the reference model";
-  EXPECT_EQ(c.oracle().inflight_reads(), 0u) << "seed " << seed;
-  EXPECT_EQ(c.oracle().fresh_reads(), sink.ref.fresh_reads())
-      << "seed " << seed;
-  EXPECT_EQ(c.oracle().stale_reads(), sink.ref.stale_reads())
-      << "seed " << seed;
-
-  fp = mix(fp, c.oracle().fresh_reads());
-  fp = mix(fp, c.oracle().stale_reads());
-  fp = mix(fp, c.timeouts());
-  fp = mix(fp, c.unavailable());
-  fp = mix(fp, c.anti_entropy_repairs());
-  fp = mix(fp, c.hints_stored());
-  fp = mix(fp, c.hints_replayed());
-  fp = mix(fp, c.replica_ops());
-  fp = mix(fp, c.read_repairs_sent());
-  fp = mix(fp, c.net_stats().total_bytes());
-
-  ClusterRunResult out;
-  out.fingerprint = fp;
-  out.events = sim.events_processed();
-  out.end_time = sim.now();
-  out.spills = sim.mailbox_spills();
-  return out;
-}
-
-/// Run one key-range scenario at 1, 2, 4, and 8 threads and assert every
-/// parallel execution reproduces the merged-serial reference bit for bit.
-void assert_key_range_thread_invariance(std::uint64_t seed, KeyRangeOpts opts) {
-  opts.threads = 1;
-  const ClusterRunResult serial = run_key_range_schedule(seed, opts);
-  EXPECT_FALSE(::testing::Test::HasFailure())
-      << "key-range serial reference diverged at seed " << seed;
-  for (const unsigned threads : {2u, 4u, 8u}) {
-    opts.threads = threads;
-    const ClusterRunResult par = run_key_range_schedule(seed, opts);
-    EXPECT_FALSE(::testing::Test::HasFailure())
-        << "key-range run diverged at seed " << seed << " threads " << threads;
-    EXPECT_EQ(serial.fingerprint, par.fingerprint)
-        << "key-range sharded run diverged from serial reference, seed "
-        << seed << " threads " << threads;
-    EXPECT_EQ(serial.events, par.events)
-        << "seed " << seed << " threads " << threads;
-    EXPECT_EQ(serial.end_time, par.end_time)
-        << "seed " << seed << " threads " << threads;
-  }
-}
-
-TEST(RequestPathDiff, KeyRangeShardedByteIdenticalAcrossThreadCounts) {
-  // A single DC split into 4 key-range shards: the scaling shape PR 8 could
-  // not express (its shard count was pinned to the DC count). 1, 2, 4, and
-  // 8 worker threads must all reproduce the merged-serial reference.
-  std::uint64_t schedules = 0;
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    KeyRangeOpts opts;
-    opts.shards = (i % 2) == 0 ? 4 : 3;
-    opts.faults = i >= 2;
-    assert_key_range_thread_invariance(0x4EE7A6E0ULL + i, opts);
-    ASSERT_FALSE(::testing::Test::HasFailure())
-        << "key-range diff diverged at seed " << 0x4EE7A6E0ULL + i;
-    ++schedules;
-  }
-  std::printf("[diff] key-range sharded schedules: %llu\n",
-              (unsigned long long)schedules);
-}
-
-TEST(RequestPathDiff, KeyRangeShardedAntiEntropyByteIdentical) {
-  // Anti-entropy used to be rejected under sharding; sweeps now run
-  // per-shard at fenced instants with a cross-shard dedup of deferred dirty
-  // keys. The repair stream (and everything downstream of it) must still be
-  // byte-identical across thread counts.
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    KeyRangeOpts opts;
-    opts.anti_entropy = true;
-    opts.faults = (i % 2) == 1;  // outages make hints + dirty keys pile up
-    assert_key_range_thread_invariance(0xAE5EE0ULL + i, opts);
-    ASSERT_FALSE(::testing::Test::HasFailure())
-        << "key-range anti-entropy diff diverged at seed " << 0xAE5EE0ULL + i;
-  }
-}
-
-TEST(RequestPathDiff, KeyRangeShardedTwoDcByteIdentical) {
-  // Two DCs, each split into 4 key-range shards: cross-DC replication legs
-  // and intra-DC cross-shard legs coexist under the intra-DC lookahead
-  // floor.
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    KeyRangeOpts opts;
-    opts.second_dc = true;
-    opts.anti_entropy = (i % 2) == 1;
-    assert_key_range_thread_invariance(0x3D1A6ULL + i, opts);
-    ASSERT_FALSE(::testing::Test::HasFailure())
-        << "two-DC key-range diff diverged at seed " << 0x3D1A6ULL + i;
-  }
-}
-
-TEST(RequestPathDiff, ShardedEmptyShardStaysIdleAndDeterministic) {
-  // rf == 2 (NTS split [1, 1, 0]) with DC 2's clients silenced: shard 2 owns
-  // nodes but processes zero events all run. The window loop must neither
-  // stall on the idle shard nor let it perturb the merged order.
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    ShardedOpts opts;
-    opts.quiet_dc2 = true;
-    opts.faults = (i % 2) == 1;
-    assert_sharded_thread_invariance(0xE3057ULL + i, opts);
-    ASSERT_FALSE(::testing::Test::HasFailure())
-        << "empty-shard diff diverged at seed " << 0xE3057ULL + i;
-  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -140,128 +141,6 @@ TEST(Runner, RequiresPolicy) {
   EXPECT_THROW(run_experiment(cfg), CheckError);
 }
 
-// ---- sharded execution (RunConfig::num_shard_threads) ----------------------
-
-RunConfig sharded_run(unsigned threads, std::uint64_t ops = 6000) {
-  RunConfig cfg = small_run(ops);
-  cfg.cluster.node_count = 9;
-  cfg.cluster.dc_count = 3;
-  // The cross-DC propagation floor doubles as the conservative lookahead.
-  cfg.cluster.latency.cross_dc.floor = kMillisecond;
-  cfg.workload.clients_per_dc = 6;
-  cfg.num_shard_threads = threads;
-  cfg.seed = 29;
-  return cfg;
-}
-
-void expect_same_run(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.reads, b.reads);
-  EXPECT_EQ(a.writes, b.writes);
-  EXPECT_EQ(a.errors, b.errors);
-  EXPECT_EQ(a.sim_events, b.sim_events);
-  EXPECT_EQ(a.stale_reads, b.stale_reads);
-  EXPECT_EQ(a.fresh_reads, b.fresh_reads);
-  EXPECT_EQ(a.net.total_bytes(), b.net.total_bytes());
-  EXPECT_EQ(a.read_latency.count(), b.read_latency.count());
-  EXPECT_EQ(a.read_latency.percentile(99), b.read_latency.percentile(99));
-  EXPECT_EQ(a.write_latency.percentile(99), b.write_latency.percentile(99));
-  EXPECT_DOUBLE_EQ(a.throughput, b.throughput);
-  EXPECT_DOUBLE_EQ(a.bill.total(), b.bill.total());
-}
-
-TEST(Runner, ShardedRunIsThreadCountInvariant) {
-  const auto serial = run_experiment(sharded_run(1));
-  const auto two = run_experiment(sharded_run(2));
-  const auto four = run_experiment(sharded_run(4));
-  EXPECT_GT(serial.reads, 1000u);
-  EXPECT_EQ(serial.errors, 0u);
-  expect_same_run(serial, two);
-  expect_same_run(serial, four);
-  // The merged-serial reference never touches a mailbox.
-  EXPECT_EQ(serial.mailbox_spills, 0u);
-}
-
-TEST(Runner, ShardedInsertWorkloadIsThreadCountInvariant) {
-  auto make = [](unsigned threads) {
-    auto cfg = sharded_run(threads, 4000);
-    cfg.workload = WorkloadSpec::ycsb_d();  // insert-heavy: per-DC key lanes
-    cfg.workload.op_count = 4000;
-    cfg.workload.record_count = 500;
-    cfg.workload.clients_per_dc = 6;
-    return cfg;
-  };
-  const auto serial = run_experiment(make(1));
-  const auto four = run_experiment(make(4));
-  EXPECT_GT(serial.writes, 0u);
-  EXPECT_EQ(serial.errors, 0u);
-  expect_same_run(serial, four);
-}
-
-TEST(Runner, ShardedSingleDcMatchesUnshardedExactly) {
-  auto make = [](unsigned threads) {
-    auto cfg = small_run(3000);
-    cfg.cluster.dc_count = 1;
-    cfg.cluster.node_count = 6;
-    cfg.cluster.latency.cross_dc.floor = kMillisecond;
-    cfg.num_shard_threads = threads;
-    return cfg;
-  };
-  // One DC = one shard: the full serial machinery (monitor, policy ticks,
-  // per-read staleness) stays on, and the run is byte-identical to the
-  // unsharded default.
-  const auto plain = run_experiment(make(0));
-  const auto sharded = run_experiment(make(4));
-  expect_same_run(plain, sharded);
-  EXPECT_DOUBLE_EQ(plain.stale_fraction, sharded.stale_fraction);
-}
-
-TEST(Runner, ShardedRunRejectsCrossShardSingletons) {
-  auto reroute = sharded_run(2, 1000);
-  reroute.workload.reroute_on_dc_outage = true;
-  EXPECT_THROW(run_experiment(reroute), CheckError);
-
-  auto no_floor = sharded_run(2, 1000);
-  no_floor.cluster.latency.cross_dc.floor = 0;
-  EXPECT_THROW(run_experiment(no_floor), CheckError);
-}
-
-TEST(Runner, ShardedLegacyFaultsMatchMergedSerial) {
-  // The legacy kill/revive list rides the typed fault lane, so its instants
-  // are fences and a sharded run reproduces the merged-serial reference.
-  auto make = [](unsigned threads) {
-    auto cfg = sharded_run(threads, 5000);
-    cfg.faults.push_back({300 * kMillisecond, 0, true});
-    cfg.faults.push_back({350 * kMillisecond, 4, true});
-    cfg.faults.push_back({800 * kMillisecond, 0, false});
-    return cfg;
-  };
-  const auto serial = run_experiment(make(1));
-  const auto two = run_experiment(make(2));
-  expect_same_run(serial, two);
-  // The faults really fired: the fault-free run schedules differently.
-  EXPECT_NE(serial.sim_events, run_experiment(sharded_run(1, 5000)).sim_events);
-}
-
-TEST(Runner, ShardedPacedClosedLoopIsThreadCountInvariant) {
-  // Paced clients report their intended arrival to the monitor, which feeds
-  // the fenced Harmony ticks: decisions must not depend on thread count.
-  auto make = [](unsigned threads) {
-    auto cfg = sharded_run(threads);
-    cfg.workload.target_rate_per_client = 400.0;
-    cfg.policy = core::harmony_policy(0.2);
-    cfg.policy_tick = 100 * kMillisecond;
-    return cfg;
-  };
-  const auto serial = run_experiment(make(1));
-  const auto two = run_experiment(make(2));
-  expect_same_run(serial, two);
-  EXPECT_EQ(serial.read_level_usage, two.read_level_usage);
-  EXPECT_EQ(serial.policy_switches, two.policy_switches);
-  EXPECT_GT(serial.final_state.read_rate, 0.0);
-  EXPECT_DOUBLE_EQ(serial.final_state.read_rate, two.final_state.read_rate);
-  EXPECT_DOUBLE_EQ(serial.final_state.write_rate, two.final_state.write_rate);
-}
-
 /// The client-side read hooks the cluster forwards to its observer.
 class ReadHookLog final : public cluster::ClusterObserver {
  public:
@@ -275,12 +154,11 @@ class ReadHookLog final : public cluster::ClusterObserver {
   std::vector<SimTime> issued, started, completed;
 };
 
-/// One overdriven rate-paced client in DC 0 of a two-DC cluster, unsharded
-/// (threads == 0) or split into per-DC event shards.
+/// One overdriven rate-paced client in DC 0 of a two-DC cluster.
 class PacedClientProbe final : public ClientEnv {
  public:
-  explicit PacedClientProbe(unsigned threads)
-      : cluster_(sharded(sim_, threads), cluster_config()),
+  PacedClientProbe()
+      : cluster_(sim_, cluster_config()),
         monitor_(monitor::MonitorConfig{}) {
     cluster_.set_observer(&log);
     policy::PolicyInit init;
@@ -293,7 +171,6 @@ class PacedClientProbe final : public ClientEnv {
 
   void run(double rate_per_s) {
     Client client(*this, /*home_dc=*/0, rate_per_s, sim_.fork_rng(1));
-    sim_.set_setup_shard(0);
     client.start();
     sim_.run();
   }
@@ -317,17 +194,12 @@ class PacedClientProbe final : public ClientEnv {
  private:
   static constexpr std::uint64_t kKeys = 100;
 
-  static sim::Simulation& sharded(sim::Simulation& sim, unsigned threads) {
-    if (threads > 0) sim.configure_shards(2, kMillisecond, threads);
-    return sim;
-  }
   static cluster::ClusterConfig cluster_config() {
     cluster::ClusterConfig c;
     c.node_count = 8;
     c.dc_count = 2;
     c.rf = 3;
     c.latency = net::TieredLatencyModel::ec2_two_az();
-    c.latency.cross_dc.floor = kMillisecond;
     return c;
   }
 
@@ -340,25 +212,21 @@ class PacedClientProbe final : public ClientEnv {
 
 TEST(Client, PacedReadIssueReportsIntendedArrival) {
   // The monitor's read-issue hook carries the time latency is measured from
-  // — the op's intended arrival — over the one route (Cluster::record_*)
-  // whether the cluster forwards at once or via the barrier-merged log.
-  for (const unsigned threads : {0u, 2u}) {
-    SCOPED_TRACE(threads);
-    PacedClientProbe probe(threads);
-    probe.run(/*rate_per_s=*/20'000);
-    const ReadHookLog& log = probe.log;
-    ASSERT_EQ(log.issued.size(), 300u);
-    ASSERT_EQ(log.started.size(), 300u);
-    EXPECT_EQ(log.issued, log.started);
-    // A closed loop issues only after its previous op completed, so an
-    // issue stamp earlier than that completion is an intended arrival the
-    // client was late for.
-    std::size_t late = 0;
-    for (std::size_t i = 1; i < log.issued.size(); ++i) {
-      if (log.issued[i] < log.completed[i - 1]) ++late;
-    }
-    EXPECT_GT(late, 100u);
+  // — the op's intended arrival — over the one route (Cluster::record_*).
+  PacedClientProbe probe;
+  probe.run(/*rate_per_s=*/20'000);
+  const ReadHookLog& log = probe.log;
+  ASSERT_EQ(log.issued.size(), 300u);
+  ASSERT_EQ(log.started.size(), 300u);
+  EXPECT_EQ(log.issued, log.started);
+  // A closed loop issues only after its previous op completed, so an issue
+  // stamp earlier than that completion is an intended arrival the client
+  // was late for.
+  std::size_t late = 0;
+  for (std::size_t i = 1; i < log.issued.size(); ++i) {
+    if (log.issued[i] < log.completed[i - 1]) ++late;
   }
+  EXPECT_GT(late, 100u);
 }
 
 TEST(Runner, RejectsOpenLoopWarmupPastGeneration) {
@@ -383,30 +251,6 @@ std::string rejection(const RunConfig& cfg) {
     return e.what();
   }
   return "";
-}
-
-TEST(Runner, RejectsShardThreadsWithoutShards) {
-  auto cfg = sharded_run(2, 1000);
-  cfg.shards_per_dc = 0;
-  EXPECT_THROW(run_experiment(cfg), CheckError);
-  EXPECT_NE(rejection(cfg).find("shards_per_dc"), std::string::npos)
-      << rejection(cfg);
-}
-
-TEST(Runner, RejectsMoreThan255Shards) {
-  auto cfg = sharded_run(2, 1000);
-  cfg.shards_per_dc = 86;  // 3 DCs x 86 = 258 event shards
-  EXPECT_THROW(run_experiment(cfg), CheckError);
-  EXPECT_NE(rejection(cfg).find("dc_count * shards_per_dc"), std::string::npos)
-      << rejection(cfg);
-}
-
-TEST(Runner, RejectsDcReroutingAcrossShards) {
-  auto cfg = sharded_run(2, 1000);
-  cfg.workload.reroute_on_dc_outage = true;
-  EXPECT_THROW(run_experiment(cfg), CheckError);
-  EXPECT_NE(rejection(cfg).find("reroute_on_dc_outage"), std::string::npos)
-      << rejection(cfg);
 }
 
 // Placement knobs: rejected up front, naming the knob, instead of by the
@@ -469,143 +313,164 @@ TEST(Runner, RejectsNtsSplitPastDcSize) {
       << rejection(cfg);
 }
 
-TEST(Runner, ShardedTraceCaptureMatchesSerial) {
-  // record_trace used to be rejected under sharding; it now captures into
-  // per-shard buffers stitched by (time, seq) at collect. The merged trace
-  // must be byte-identical to the merged-serial reference for every thread
-  // count.
-  auto make = [](unsigned threads) {
-    auto cfg = sharded_run(threads, 2000);
-    cfg.record_trace = true;
-    return cfg;
-  };
-  const auto serial = run_experiment(make(1));
-  const auto four = run_experiment(make(4));
-  ASSERT_NE(serial.trace, nullptr);
-  ASSERT_NE(four.trace, nullptr);
-  ASSERT_EQ(serial.trace->records.size(), four.trace->records.size());
-  EXPECT_GT(serial.trace->records.size(), 1000u);
-  for (std::size_t i = 0; i < serial.trace->records.size(); ++i) {
-    const auto& a = serial.trace->records[i];
-    const auto& b = four.trace->records[i];
-    ASSERT_EQ(a.time, b.time) << "trace diverges at record " << i;
-    ASSERT_EQ(a.op, b.op) << "trace diverges at record " << i;
-    ASSERT_EQ(a.key, b.key) << "trace diverges at record " << i;
-    ASSERT_EQ(a.value_size, b.value_size) << "trace diverges at record " << i;
-  }
+// Fault schedules: every bad entry is rejected up front, naming the entry
+// and the field, instead of failing at its fault instant (or never).
+TEST(Runner, RejectsFaultNodeOutOfRange) {
+  auto cfg = small_run();
+  cfg.fault_schedule.push_back(
+      {100 * kMillisecond, cluster::FaultOp::kKillNode, 0, 0, 1.0});
+  cfg.fault_schedule.push_back(
+      {200 * kMillisecond, cluster::FaultOp::kDegradeNode, 8, 0, 2.0});
+  EXPECT_THROW(run_experiment(cfg), CheckError);
+  EXPECT_NE(rejection(cfg).find("fault_schedule[1].node = 8 must be < "
+                                "cluster.node_count = 8"),
+            std::string::npos)
+      << rejection(cfg);
+
+  auto legacy = small_run();
+  legacy.faults.push_back({100 * kMillisecond, 9, true});
+  EXPECT_THROW(run_experiment(legacy), CheckError);
+  EXPECT_NE(rejection(legacy).find("faults[0].node = 9 must be < "
+                                   "cluster.node_count = 8"),
+            std::string::npos)
+      << rejection(legacy);
 }
 
-// ---- key-range sharding (RunConfig::shards_per_dc) --------------------------
-
-/// Single-DC run split into `shards` key-range shards: the configuration
-/// PR 8 could not parallelize at all (one DC == one shard == one thread).
-RunConfig key_range_run(unsigned threads, unsigned shards,
-                        std::uint64_t ops = 6000) {
-  RunConfig cfg = small_run(ops);
-  cfg.cluster.dc_count = 1;
-  cfg.cluster.node_count = 8;
-  cfg.cluster.latency.cross_dc.floor = kMillisecond;
-  // Intra-DC hops cross shards now, so the intra-DC floors must cover the
-  // lookahead (the runner takes the min over all three).
-  cfg.cluster.latency.same_rack.floor = usec(150);
-  cfg.cluster.latency.same_dc.floor = usec(150);
-  cfg.workload.clients_per_dc = 8;
-  cfg.num_shard_threads = threads;
-  cfg.shards_per_dc = shards;
-  cfg.seed = 31;
-  return cfg;
+TEST(Runner, RejectsFaultDcOutOfRange) {
+  auto cfg = small_run();
+  cfg.fault_schedule.push_back(
+      {100 * kMillisecond, cluster::FaultOp::kDcBlackout, 0, 2, 1.0});
+  EXPECT_THROW(run_experiment(cfg), CheckError);
+  EXPECT_NE(rejection(cfg).find("fault_schedule[0].dc = 2 must be < "
+                                "cluster.dc_count = 2"),
+            std::string::npos)
+      << rejection(cfg);
 }
 
-TEST(Runner, KeyRangeShardedRunIsThreadCountInvariant) {
-  const auto serial = run_experiment(key_range_run(1, 4));
-  const auto two = run_experiment(key_range_run(2, 4));
-  const auto four = run_experiment(key_range_run(4, 4));
-  EXPECT_GT(serial.reads, 1000u);
-  EXPECT_EQ(serial.errors, 0u);
-  expect_same_run(serial, two);
-  expect_same_run(serial, four);
-  EXPECT_EQ(serial.mailbox_spills, 0u);
+TEST(Runner, RejectsNegativeFaultTime) {
+  auto cfg = small_run();
+  cfg.fault_schedule.push_back({-1, cluster::FaultOp::kRestoreWan, 0, 0, 1.0});
+  EXPECT_THROW(run_experiment(cfg), CheckError);
+  EXPECT_NE(rejection(cfg).find("fault_schedule[0].at = -1 must be >= 0"),
+            std::string::npos)
+      << rejection(cfg);
+
+  auto legacy = small_run();
+  legacy.faults.push_back({-5, 0, true});
+  EXPECT_NE(rejection(legacy).find("faults[0].at = -5 must be >= 0"),
+            std::string::npos)
+      << rejection(legacy);
 }
 
-TEST(Runner, KeyRangeShardedInsertWorkloadIsThreadCountInvariant) {
-  auto make = [](unsigned threads) {
-    auto cfg = key_range_run(threads, 4, 4000);
-    cfg.workload = WorkloadSpec::ycsb_d();  // insert-heavy: skip-scan lanes
-    cfg.workload.op_count = 4000;
-    cfg.workload.record_count = 500;
-    cfg.workload.clients_per_dc = 8;
-    return cfg;
-  };
-  const auto serial = run_experiment(make(1));
-  const auto four = run_experiment(make(4));
-  EXPECT_GT(serial.writes, 0u);
-  EXPECT_EQ(serial.errors, 0u);
-  expect_same_run(serial, four);
-}
-
-TEST(Runner, KeyRangeShardedMonitorFeedsAdaptivePolicy) {
-  // The lifted restrictions working together: the monitor attaches to a
-  // sharded run (fed from per-shard logs merged at barriers), the Harmony
-  // policy re-tunes at fenced ticks, and anti-entropy sweeps per shard —
-  // all byte-identical across thread counts, including the policy's level
-  // decisions (read_level_usage) and the monitor-driven staleness results.
-  auto make = [](unsigned threads) {
-    auto cfg = key_range_run(threads, 4);
-    cfg.policy = core::harmony_policy(0.2);
-    cfg.policy_tick = 100 * kMillisecond;
-    cfg.cluster.anti_entropy_period = 200 * kMillisecond;
-    return cfg;
-  };
-  const auto serial = run_experiment(make(1));
-  const auto four = run_experiment(make(4));
-  expect_same_run(serial, four);
-  ASSERT_FALSE(serial.read_level_usage.empty());
-  ASSERT_EQ(serial.read_level_usage.size(), four.read_level_usage.size());
-  for (const auto& [level, count] : serial.read_level_usage) {
-    EXPECT_EQ(four.read_level_usage.at(level), count) << "level " << level;
-  }
-  EXPECT_EQ(serial.policy_switches, four.policy_switches);
-  // The monitor really saw traffic: its final state drives the paper's
-  // estimators, so a silently-empty monitor would pass expect_same_run.
-  EXPECT_GT(serial.final_state.read_rate, 0.0);
-  EXPECT_DOUBLE_EQ(serial.final_state.read_rate, four.final_state.read_rate);
-  EXPECT_DOUBLE_EQ(serial.final_state.write_rate, four.final_state.write_rate);
-}
-
-TEST(Runner, ShardedPerDcMonitorPolicyAntiEntropyThreadInvariant) {
-  // The same lifted restrictions on the PR 8 per-DC layout (3 DCs, one
-  // shard each): monitor, fenced Harmony policy ticks, and per-shard
-  // anti-entropy, byte-identical between merged-serial and 4 threads.
-  auto make = [](unsigned threads) {
-    auto cfg = sharded_run(threads);
-    cfg.policy = core::harmony_policy(0.2);
-    cfg.policy_tick = 100 * kMillisecond;
-    cfg.cluster.anti_entropy_period = 200 * kMillisecond;
-    return cfg;
-  };
-  const auto serial = run_experiment(make(1));
-  const auto four = run_experiment(make(4));
-  expect_same_run(serial, four);
-  EXPECT_EQ(serial.policy_switches, four.policy_switches);
-  EXPECT_GT(serial.final_state.read_rate, 0.0);
-  EXPECT_DOUBLE_EQ(serial.final_state.read_rate, four.final_state.read_rate);
-}
-
-TEST(Runner, ShardedFaultScheduleIsThreadCountInvariant) {
-  auto make = [](unsigned threads) {
-    auto cfg = sharded_run(threads, 5000);
-    // Kill one node per DC mid-run and revive it; fault instants are fences.
-    for (net::NodeId n = 0; n < 3; ++n) {
-      cfg.fault_schedule.push_back({300 * kMillisecond + n * 50 * kMillisecond,
-                                    cluster::FaultOp::kKillNode, n, 0, 1.0});
-      cfg.fault_schedule.push_back({800 * kMillisecond + n * 50 * kMillisecond,
-                                    cluster::FaultOp::kReviveNode, n, 0, 1.0});
+TEST(Runner, RejectsDegradeFactorNotFinitePositive) {
+  const double bad[] = {0.0, -2.0, std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity()};
+  for (const auto op :
+       {cluster::FaultOp::kDegradeNode, cluster::FaultOp::kDegradeWan}) {
+    for (const double factor : bad) {
+      auto cfg = small_run();
+      cfg.fault_schedule.push_back({100 * kMillisecond, op, 1, 0, factor});
+      EXPECT_THROW(run_experiment(cfg), CheckError) << "factor " << factor;
+      EXPECT_NE(rejection(cfg).find("fault_schedule[0].factor = "),
+                std::string::npos)
+          << rejection(cfg);
+      EXPECT_NE(rejection(cfg).find("must be finite and > 0"),
+                std::string::npos)
+          << rejection(cfg);
     }
-    return cfg;
-  };
-  const auto serial = run_experiment(make(1));
-  const auto four = run_experiment(make(4));
-  expect_same_run(serial, four);
+  }
+  // Restore ops carry no factor; a sub-1 degrade factor (a faster link) is
+  // legal.
+  auto ok = small_run(1000);
+  ok.fault_schedule.push_back(
+      {100 * kMillisecond, cluster::FaultOp::kDegradeNode, 1, 0, 0.5});
+  ok.fault_schedule.push_back(
+      {200 * kMillisecond, cluster::FaultOp::kRestoreNode, 1, 0, 0.0});
+  EXPECT_EQ(rejection(ok), "");
+}
+
+void expect_same_histogram(const LatencyHistogram& a, const LatencyHistogram& b,
+                           const char* what) {
+  EXPECT_EQ(a.count(), b.count()) << what;
+  EXPECT_EQ(a.min(), b.min()) << what;
+  EXPECT_EQ(a.max(), b.max()) << what;
+  EXPECT_DOUBLE_EQ(a.mean(), b.mean()) << what;
+  for (const double p : {1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.9}) {
+    EXPECT_EQ(a.percentile(p), b.percentile(p)) << what << " p" << p;
+  }
+}
+
+/// Every counter and histogram of two runs, field by field.
+void expect_identical_runs(const RunResult& a, const RunResult& b) {
+  EXPECT_EQ(a.ops, b.ops);
+  EXPECT_EQ(a.reads, b.reads);
+  EXPECT_EQ(a.writes, b.writes);
+  EXPECT_EQ(a.errors, b.errors);
+  EXPECT_DOUBLE_EQ(a.duration_s, b.duration_s);
+  EXPECT_DOUBLE_EQ(a.throughput, b.throughput);
+  expect_same_histogram(a.read_latency, b.read_latency, "read_latency");
+  expect_same_histogram(a.write_latency, b.write_latency, "write_latency");
+  EXPECT_EQ(a.stale_reads, b.stale_reads);
+  EXPECT_EQ(a.fresh_reads, b.fresh_reads);
+  EXPECT_DOUBLE_EQ(a.stale_fraction, b.stale_fraction);
+  expect_same_histogram(a.staleness_age, b.staleness_age, "staleness_age");
+  EXPECT_EQ(a.read_level_usage, b.read_level_usage);
+  EXPECT_DOUBLE_EQ(a.avg_read_replicas, b.avg_read_replicas);
+  EXPECT_EQ(a.policy_switches, b.policy_switches);
+  EXPECT_DOUBLE_EQ(a.bill.total(), b.bill.total());
+  EXPECT_DOUBLE_EQ(a.energy_kwh, b.energy_kwh);
+  EXPECT_DOUBLE_EQ(a.final_state.read_rate, b.final_state.read_rate);
+  EXPECT_DOUBLE_EQ(a.final_state.write_rate, b.final_state.write_rate);
+  EXPECT_EQ(a.net.total_messages(), b.net.total_messages());
+  EXPECT_EQ(a.net.total_bytes(), b.net.total_bytes());
+  EXPECT_EQ(a.net.cross_dc_bytes(), b.net.cross_dc_bytes());
+  EXPECT_EQ(a.timeouts, b.timeouts);
+  EXPECT_EQ(a.unavailable, b.unavailable);
+  EXPECT_EQ(a.read_repairs, b.read_repairs);
+  EXPECT_EQ(a.sim_events, b.sim_events);
+  EXPECT_EQ(a.mailbox_spills, b.mailbox_spills);
+  EXPECT_DOUBLE_EQ(a.total_wall_s, b.total_wall_s);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.hedges_fired, b.hedges_fired);
+  EXPECT_EQ(a.hedge_wins, b.hedge_wins);
+  EXPECT_EQ(a.sheds, b.sheds);
+  EXPECT_EQ(a.client_shed_retries, b.client_shed_retries);
+  EXPECT_EQ(a.rerouted_ops, b.rerouted_ops);
+  const OpenLoopResult& x = a.open_loop;
+  const OpenLoopResult& y = b.open_loop;
+  EXPECT_EQ(x.arrivals, y.arrivals);
+  EXPECT_EQ(x.issued, y.issued);
+  EXPECT_EQ(x.completed, y.completed);
+  EXPECT_EQ(x.failed, y.failed);
+  EXPECT_EQ(x.shed_admission, y.shed_admission);
+  EXPECT_EQ(x.shed_queue_full, y.shed_queue_full);
+  EXPECT_EQ(x.queued_at_end, y.queued_at_end);
+  EXPECT_EQ(x.in_flight_at_end, y.in_flight_at_end);
+  EXPECT_EQ(x.sla_ok, y.sla_ok);
+  EXPECT_EQ(x.sla_total, y.sla_total);
+  EXPECT_DOUBLE_EQ(x.offered_rate, y.offered_rate);
+  expect_same_histogram(x.queueing_delay, y.queueing_delay, "queueing_delay");
+}
+
+TEST(Runner, ShardFieldsAreIgnored) {
+  // num_shard_threads / shards_per_dc are inert: a run that sets them is
+  // the run with the defaults, and never reports a mailbox spill.
+  auto open = small_run();
+  open.workload.open_loop.enabled = true;
+  open.workload.open_loop.rate_per_s = 4000;
+  open.workload.open_loop.duration = 2 * kSecond;
+  open.workload.open_loop.drain_grace = kSecond;
+  open.workload.open_loop.user_count = 20'000;
+  for (const RunConfig& base : {small_run(), open}) {
+    RunConfig sharded = base;
+    sharded.num_shard_threads = 4;
+    sharded.shards_per_dc = 4;
+    const RunResult plain = run_experiment(base);
+    const RunResult other = run_experiment(sharded);
+    EXPECT_GT(plain.reads, 500u);
+    expect_identical_runs(plain, other);
+    EXPECT_EQ(other.mailbox_spills, 0u);
+  }
 }
 
 TEST(Runner, SummaryContainsPolicyName) {

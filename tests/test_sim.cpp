@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <tuple>
 #include <vector>
 
 #include "common/check.h"
@@ -96,97 +95,18 @@ TEST(Simulation, EventsProcessedCounter) {
   EXPECT_EQ(sim.events_processed(), 5u);
 }
 
-TEST(Simulation, DefaultSetIsOneShardWithStrictlyIncreasingSeqs) {
-  // Every Simulation runs on a one-shard set with seq stream (0, 1): a chain
-  // of events, each scheduling the next (same instant or later, closure or
-  // typed lane), runs under seqs 0, 1, 2, ...
-  struct Chain {
-    Simulation sim;
-    std::vector<std::uint64_t> seqs;
-    void next() {
-      seqs.push_back(sim.current_seq());
-      if (seqs.size() == 12) return;
-      const auto delay = static_cast<SimDuration>(seqs.size() % 3);
-      if (seqs.size() % 2 == 0) {
-        sim.schedule(delay, [this] { next(); });
-      } else {
-        TypedEvent ev;
-        ev.kind = EventKind::kUserProbe;
-        ev.target = this;
-        sim.schedule_event(delay, ev);
-      }
-    }
-  } chain;
-  Simulation& sim = chain.sim;
-  EXPECT_EQ(sim.shard_count(), 1u);
-  EXPECT_EQ(sim.lookahead(), ShardSet::kNoLookahead);
-  sim.set_event_dispatcher(EventDomain::kUser, [](const TypedEvent& ev) {
-    static_cast<Chain*>(ev.target)->next();
-  });
-  sim.schedule(5, [&chain] { chain.next(); });
-  sim.run();
-  ASSERT_EQ(chain.seqs.size(), 12u);
-  for (std::size_t i = 0; i < chain.seqs.size(); ++i) {
-    EXPECT_EQ(chain.seqs[i], i) << "event " << i;
-  }
-  EXPECT_EQ(sim.current_seq(), 0u);  // outside any event
-}
-
-TEST(Simulation, FenceOnDefaultSetKeepsExecutionOrder) {
-  // A fence splits the default set's run into windows (the fence instant runs
-  // on its own) but must not reorder anything: one queue is its own merge.
-  auto run = [](bool fenced) {
-    Simulation sim(5);
-    Rng rng(11);
-    std::vector<int> order;
-    if (fenced) {
-      for (const SimTime t : {0, 17, 40, 41, 99, 500}) sim.register_fence(t);
-    }
-    for (int i = 0; i < 60; ++i) {
-      const auto at = static_cast<SimTime>(rng.uniform_u64(100));
-      sim.schedule_at(at, [&order, &sim, i] {
-        order.push_back(i);
-        if (i % 7 == 0) sim.schedule(0, [&order, i] { order.push_back(-i); });
-      });
-    }
-    sim.run_until(41);
-    sim.run();
-    return std::make_tuple(order, sim.now(), sim.events_processed());
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
-TEST(Simulation, ConfigureShardsAfterSchedulingIsRejected) {
-  Simulation fresh;
-  fresh.configure_shards(2, 10, 1);  // nothing scheduled yet: replaces the set
-  EXPECT_EQ(fresh.shard_count(), 2u);
-
-  Simulation sim;
-  sim.schedule(10, [] {});
-  EXPECT_THROW(sim.configure_shards(2, 10, 1), CheckError);
-
-  Simulation ran;
-  ran.schedule(0, [] {});
-  ran.run();  // drained at time 0, but an event has already run
-  EXPECT_THROW(ran.configure_shards(2, 10, 1), CheckError);
-}
-
 TEST(Simulation, ClockNeverMovesBackwardsWhenRunDrains) {
   // run_until parks the clock on the horizon; a later run that drains
-  // without executing anything must keep it there, on the default set and
-  // on a configured multi-shard set alike.
-  for (const std::uint32_t shards : {0u, 2u}) {
-    Simulation sim;
-    if (shards > 0) sim.configure_shards(shards, 10, 1);
-    bool ran = false;
-    EventHandle h = sim.schedule_at(100, [&ran] { ran = true; });
-    sim.run_until(50);
-    EXPECT_EQ(sim.now(), 50) << shards << " shards";
-    h.cancel();
-    sim.run();
-    EXPECT_FALSE(ran);
-    EXPECT_EQ(sim.now(), 50) << shards << " shards";
-  }
+  // without executing anything must keep it there.
+  Simulation sim;
+  bool ran = false;
+  EventHandle h = sim.schedule_at(100, [&ran] { ran = true; });
+  sim.run_until(50);
+  EXPECT_EQ(sim.now(), 50);
+  h.cancel();
+  sim.run();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(sim.now(), 50);
 }
 
 TEST(Simulation, DeterministicRngForks) {

@@ -153,34 +153,6 @@ TEST(Sweep, ZeroJobsUsesHardwareConcurrency) {
   EXPECT_EQ(stats[0].runs.size(), 2u);
 }
 
-TEST(Sweep, ShardedCellsClampToSerialUnderParallelGrid) {
-  // A sharded cell inside a parallel grid is clamped to one shard thread
-  // (no nested parallelism); by the sharding determinism contract the
-  // aggregated output must match both the jobs=1 grid and the unclamped
-  // direct run.
-  auto cell = small_run(1500);
-  cell.cluster.dc_count = 2;
-  cell.cluster.node_count = 6;
-  cell.cluster.latency.cross_dc.floor = kMillisecond;
-  cell.num_shard_threads = 4;
-  SweepOptions serial_opts;
-  serial_opts.seeds = 2;
-  serial_opts.jobs = 1;
-  SweepRunner serial(serial_opts);
-  serial.add(cell);
-  SweepOptions par_opts;
-  par_opts.seeds = 2;
-  par_opts.jobs = 4;
-  SweepRunner parallel(par_opts);
-  parallel.add(cell);
-  const auto a = serial.run();
-  const auto b = parallel.run();
-  EXPECT_EQ(fingerprint(a), fingerprint(b));
-  const auto direct = run_experiment(cell);
-  EXPECT_EQ(a[0].runs[0].sim_events, direct.sim_events);
-  EXPECT_DOUBLE_EQ(a[0].runs[0].throughput, direct.throughput);
-}
-
 TEST(Sweep, RequiresPolicy) {
   SweepRunner runner;
   RunConfig cfg = small_run();
