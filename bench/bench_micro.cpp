@@ -48,12 +48,17 @@ void BM_HistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramRecord);
 
+// BM_RingLookup and BM_RingLookupNts time the ring walk a cluster runs once
+// per vnode arc at set-up (plus the binary search that finds a key's arc);
+// BM_ReplicasFor below times the request-path lookup.
 void BM_RingLookup(benchmark::State& state) {
   const auto topo = net::Topology::balanced(84, 2);
   cluster::TokenRing ring(topo, static_cast<int>(state.range(0)), 42);
   Rng rng(1);
+  cluster::ReplicaList out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ring.replicas_simple(rng.next(), 3));
+    ring.replicas_simple(rng.next(), 3, out);
+    benchmark::DoNotOptimize(out);
   }
 }
 BENCHMARK(BM_RingLookup)->Arg(8)->Arg(64)->Arg(256);
@@ -62,9 +67,11 @@ void BM_RingLookupNts(benchmark::State& state) {
   const auto topo = net::Topology::balanced(18, 2);
   cluster::TokenRing ring(topo, 64, 42);
   Rng rng(1);
-  const std::vector<int> rf_per_dc = {3, 2};
+  const cluster::DcCounts rf_per_dc{3, 2};
+  cluster::ReplicaList out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ring.replicas_nts(rng.next(), rf_per_dc));
+    ring.replicas_nts(rng.next(), rf_per_dc, out);
+    benchmark::DoNotOptimize(out);
   }
 }
 BENCHMARK(BM_RingLookupNts);

@@ -120,7 +120,7 @@ void Cluster::preload_range(std::uint64_t count, std::uint32_t size) {
   // would get, so every store holds it implicitly in its base layer and one
   // pass marks its owners.
   const std::uint64_t seq0 = write_seq_ + 1;
-  for (const auto& n : nodes_) n->store().begin_base(count, seq0, 1, size);
+  for (const auto& n : nodes_) n->store().begin_base(count, seq0, size);
   for (std::uint64_t k = 0; k < count; ++k) {
     for (const net::NodeId r : replicas_for(k)) nodes_[r]->store().own_base(k);
   }
@@ -356,7 +356,9 @@ void Cluster::replica_apply_write(WriteHandle h, net::NodeId replica) {
     // targets). The lifecycle still completes.
     ++w.completed_targets;
     if (w.completed_targets == w.alive_targets) {
-      observer_write_propagated(w.key, w.start, w.delays);
+      if (observer_ != nullptr) {
+        observer_->on_write_propagated(w.key, w.start, w.delays);
+      }
       if (w.delivered) pending_writes_.release(h);
     }
     return;
@@ -416,8 +418,8 @@ void Cluster::write_ack(WriteHandle h, net::NodeId replica,
 
   // Report propagation completion before finish_write may erase the entry.
   const bool propagation_done = w.completed_targets == w.alive_targets;
-  if (propagation_done) {
-    observer_write_propagated(w.key, w.start, w.delays);
+  if (propagation_done && observer_ != nullptr) {
+    observer_->on_write_propagated(w.key, w.start, w.delays);
   }
 
   if (met && !w.responded) finish_write(h, true);
@@ -835,7 +837,7 @@ void Cluster::read_response(ReadHandle h, net::NodeId replica, bool found,
     // rtt here is service + return hop; add nothing for the request hop since
     // the observer wants replica responsiveness, which this approximates.
     const bool cross = live && !topo_.same_dc(rp->coord, replica);
-    observer_replica_read_rtt(replica, rtt, cross);
+    observer_->on_replica_read_rtt(replica, rtt, cross);
   }
   if (!live) return;
   PendingRead& r = *rp;
@@ -917,11 +919,12 @@ void Cluster::finish_read(ReadHandle h, bool ok) {
   // the client callback is newer than this read's start, so the judgement is
   // the same either way — and ending the read lets the oracle fold history.
   if (result.ok) {
-    oracle_judge_end(r.key, result.found ? result.version : kNoVersion,
-                     r.start, &result);
-  } else {
-    oracle_.end_read(r.start);
+    const auto judgement = oracle_.judge(
+        r.key, result.found ? result.version : kNoVersion, r.start);
+    result.stale = judgement.stale;
+    result.staleness_age = judgement.age;
   }
+  oracle_.end_read(r.start);
   // Result and callback wait in the record for the typed delivery leg
   // (responded is set, so late responses leave them alone).
   r.result = result;
@@ -963,50 +966,6 @@ void Cluster::repair_arrive(net::NodeId target, Key key,
 void Cluster::repair_apply(net::NodeId target, Key key,
                            const VersionedValue& value) {
   nodes_[target]->store().apply(key, value);
-}
-
-// ------------------------------------------------- oracle and observer calls
-
-void Cluster::oracle_judge_end(Key key, const Version& returned,
-                               SimTime read_start, ReadResult* result) {
-  const auto judgement = oracle_.judge(key, returned, read_start);
-  oracle_.end_read(read_start);
-  result->stale = judgement.stale;
-  result->staleness_age = judgement.age;
-}
-
-void Cluster::record_read_issued(SimTime at, Key key) {
-  if (observer_ != nullptr) observer_->record_read_issued(at, key);
-}
-
-void Cluster::record_write_issued(Key key, std::uint32_t value_size) {
-  if (observer_ != nullptr) {
-    observer_->record_write_issued(sim_->now(), key, value_size);
-  }
-}
-
-void Cluster::record_read_complete(SimDuration latency) {
-  if (observer_ != nullptr) observer_->record_read_complete(sim_->now(), latency);
-}
-
-void Cluster::record_write_complete(SimDuration latency) {
-  if (observer_ != nullptr) {
-    observer_->record_write_complete(sim_->now(), latency);
-  }
-}
-
-void Cluster::observer_write_propagated(Key key, SimTime write_start,
-                                        const DelayList& delays) {
-  if (observer_ != nullptr) {
-    observer_->on_write_propagated(key, write_start, delays);
-  }
-}
-
-void Cluster::observer_replica_read_rtt(net::NodeId replica, SimDuration rtt,
-                                        bool cross_dc) {
-  if (observer_ != nullptr) {
-    observer_->on_replica_read_rtt(replica, rtt, cross_dc);
-  }
 }
 
 // ------------------------------------------------------------ failures

@@ -63,9 +63,10 @@ namespace harmony::cluster {
 /// Per-replica write propagation delays, inline like the replica list itself.
 using DelayList = SmallVec<SimDuration, kMaxReplicas>;
 
-/// Hooks the monitoring module attaches to. Callbacks run inside the
-/// simulation loop; implementations must be cheap and must not re-enter the
-/// cluster API.
+/// Hooks the monitoring module attaches to, for what only the cluster sees.
+/// (Client-side issue/complete records go from the workload layer straight
+/// to monitor::Monitor.) Callbacks run inside the simulation loop;
+/// implementations must be cheap and must not re-enter the cluster API.
 class ClusterObserver {
  public:
   virtual ~ClusterObserver() = default;
@@ -80,23 +81,6 @@ class ClusterObserver {
   virtual void on_replica_read_rtt(net::NodeId replica, SimDuration rtt,
                                    bool cross_dc) {
     (void)replica; (void)rtt; (void)cross_dc;
-  }
-
-  // Client-side measurement hooks (monitor/monitor.h implements them). The
-  // workload layer reaches them only through Cluster::record_*, which
-  // forwards here at once.
-  virtual void record_read_issued(SimTime now, Key key) {
-    (void)now; (void)key;
-  }
-  virtual void record_write_issued(SimTime now, Key key,
-                                   std::uint32_t value_size) {
-    (void)now; (void)key; (void)value_size;
-  }
-  virtual void record_read_complete(SimTime now, SimDuration latency) {
-    (void)now; (void)latency;
-  }
-  virtual void record_write_complete(SimTime now, SimDuration latency) {
-    (void)now; (void)latency;
   }
 };
 
@@ -315,16 +299,6 @@ class Cluster {
   /// Attach the measurement observer.
   void set_observer(ClusterObserver* observer) { observer_ = observer; }
 
-  // ---- client-side measurement records -----------------------------------
-  // Forwarded at once to the observer's record_* hooks (no-ops without one):
-  // the workload layer's only route to the monitor. Each hook reports now(),
-  // except record_read_issued, which reports `at` — the issue time the
-  // client measures from (a paced client's intended arrival).
-  void record_read_issued(SimTime at, Key key);
-  void record_write_issued(Key key, std::uint32_t value_size);
-  void record_read_complete(SimDuration latency);
-  void record_write_complete(SimDuration latency);
-
   sim::Simulation& simulation() { return *sim_; }
 
   /// Typed-lane dispatcher for the cluster event domain: switches on the
@@ -522,14 +496,6 @@ class Cluster {
 
   void replay_hints(net::NodeId target);
   void anti_entropy_sweep();
-
-  // ---- oracle and observer calls -------------------------------------------
-  void oracle_judge_end(Key key, const Version& returned, SimTime read_start,
-                        ReadResult* result);
-  void observer_write_propagated(Key key, SimTime write_start,
-                                 const DelayList& delays);
-  void observer_replica_read_rtt(net::NodeId replica, SimDuration rtt,
-                                 bool cross_dc);
 
   sim::Simulation* sim_;
   ClusterConfig cfg_;

@@ -49,14 +49,13 @@ std::optional<VersionedValue> ReplicaStore::read(Key key) const {
 }
 
 void ReplicaStore::begin_base(std::uint64_t count, std::uint64_t seq0,
-                              std::uint64_t stride, std::uint32_t size) {
+                              std::uint32_t size) {
   HARMONY_CHECK_MSG(table_.empty() && base_count_ == 0,
                     "preload needs an empty replica store with no base layer "
                     "(preload_range runs once, before any write)");
   base_bits_.assign((count + 63) / 64, 0);
   base_count_ = count;
   base_seq0_ = seq0;
-  base_stride_ = stride;
   base_size_ = size;
 }
 

@@ -7,7 +7,7 @@
 // Two layers, and a key lives in exactly one of them:
 //   * the base layer holds the preloaded dataset implicitly: one ownership
 //     bit per key of [0, count), and a formula for the values (key k holds
-//     Version{0, seq0 + k * stride} of `size` bytes). It costs one bit per
+//     Version{0, seq0 + k} of `size` bytes). It costs one bit per
 //     record, so loading a million records allocates ~128 KB per node
 //     instead of a 32 MB table;
 //   * the table, a common/flat_table.h open-addressing map (linear probing,
@@ -35,10 +35,9 @@ class ReplicaStore {
   std::optional<VersionedValue> read(Key key) const;
 
   /// Start an (empty) base layer over keys [0, count): key k's value would
-  /// be Version{0, seq0 + k * stride} of `size` bytes, once own_base(k)
-  /// claims it. Only on a store nothing was written to yet.
-  void begin_base(std::uint64_t count, std::uint64_t seq0, std::uint64_t stride,
-                  std::uint32_t size);
+  /// be Version{0, seq0 + k} of `size` bytes, once own_base(k) claims it.
+  /// Only on a store nothing was written to yet.
+  void begin_base(std::uint64_t count, std::uint64_t seq0, std::uint32_t size);
   /// Preload base key `key` (< the begun count, not yet owned) here: the
   /// same accounting as apply() inserting its base value.
   void own_base(Key key) {
@@ -61,14 +60,13 @@ class ReplicaStore {
            (base_bits_[key >> 6] >> (key & 63) & 1) != 0;
   }
   VersionedValue base_value(Key key) const {
-    return {Version{0, base_seq0_ + key * base_stride_}, base_size_};
+    return {Version{0, base_seq0_ + key}, base_size_};
   }
 
   FlatTable<VersionedValue> table_{1024};
   std::vector<std::uint64_t> base_bits_;  ///< ownership, one bit per key
   std::uint64_t base_count_ = 0;
   std::uint64_t base_seq0_ = 0;
-  std::uint64_t base_stride_ = 0;
   std::uint32_t base_size_ = 0;
   std::size_t base_keys_ = 0;  ///< bits set in base_bits_
   std::uint64_t stored_bytes_ = 0;

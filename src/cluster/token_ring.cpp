@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/check.h"
 #include "common/distributions.h"
 
 namespace harmony::cluster {
@@ -28,33 +29,7 @@ TokenRing::TokenRing(const net::Topology& topo, int vnodes_per_node,
     if (a.token != b.token) return a.token < b.token;
     return a.node < b.node;
   });
-  // Per-DC index: each DC's vnodes in the same clockwise order, so NTS can
-  // walk one DC without stepping over the others' vnodes.
-  dc_ring_.resize(topo.dc_count());
-  for (std::size_t d = 0; d < dc_ring_.size(); ++d) {
-    dc_ring_[d].reserve(topo.nodes_in_dc(static_cast<net::DcId>(d)).size() *
-                        static_cast<std::size_t>(vnodes_per_node));
-  }
-  for (const VNode& v : ring_) dc_ring_[topo.dc_of(v.node)].push_back(v);
-
-  // Skip table for NTS cursor seeding (see header). Built back-to-front so
-  // each position inherits the successor's "next" until a DC vnode overrides.
   const std::size_t n = ring_.size();
-  std::vector<std::uint32_t> local_idx(n);
-  std::vector<std::uint32_t> counter(topo.dc_count(), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    local_idx[i] = counter[topo.dc_of(ring_[i].node)]++;
-  }
-  next_in_dc_.resize(topo.dc_count());
-  for (std::size_t d = 0; d < next_in_dc_.size(); ++d) {
-    next_in_dc_[d].assign(n + 1, static_cast<std::uint32_t>(dc_ring_[d].size()));
-  }
-  for (std::size_t i = n; i-- > 0;) {
-    for (std::size_t d = 0; d < next_in_dc_.size(); ++d) {
-      next_in_dc_[d][i] = next_in_dc_[d][i + 1];
-    }
-    next_in_dc_[topo.dc_of(ring_[i].node)][i] = local_idx[i];
-  }
 
   // arc_of's buckets: the smallest power of two >= 4 vnodes (at least 4,
   // so the shift stays below 64), filled by one merge over the sorted ring.
@@ -83,53 +58,70 @@ std::size_t TokenRing::first_at_or_after(std::uint64_t token) const {
   return it == ring_.end() ? 0 : static_cast<std::size_t>(it - ring_.begin());
 }
 
-std::vector<net::NodeId> TokenRing::replicas_simple(Key key, int rf) const {
-  std::vector<net::NodeId> out;
-  out.reserve(static_cast<std::size_t>(rf));
-  fill_simple(first_at_or_after(token_for(key)), rf, out);
-  return out;
+void TokenRing::replicas_simple(Key key, int rf, ReplicaList& out) const {
+  walk_simple(first_at_or_after(token_for(key)), rf, out);
 }
 
-void TokenRing::replicas_simple(Key key, int rf, ReplicaList& out) const {
-  HARMONY_CHECK_MSG(rf <= kMaxReplicas, "rf exceeds kMaxReplicas");
-  out.clear();
-  fill_simple(first_at_or_after(token_for(key)), rf, out);
+void TokenRing::replicas_nts(Key key, const DcCounts& rf_per_dc,
+                             ReplicaList& out) const {
+  walk_nts(first_at_or_after(token_for(key)), rf_per_dc, out);
 }
 
 void TokenRing::arc_replicas_simple(std::size_t arc, int rf,
                                     ReplicaList& out) const {
   HARMONY_CHECK(arc < ring_.size());
-  HARMONY_CHECK_MSG(rf <= kMaxReplicas, "rf exceeds kMaxReplicas");
-  out.clear();
-  fill_simple(arc, rf, out);
-}
-
-std::vector<net::NodeId> TokenRing::replicas_nts(
-    Key key, const std::vector<int>& rf_per_dc) const {
-  HARMONY_CHECK(rf_per_dc.size() == topo_->dc_count());
-  std::vector<net::NodeId> out;
-  int total = 0;
-  for (const int w : rf_per_dc) total += w;
-  out.reserve(static_cast<std::size_t>(total));
-  const std::uint64_t t = token_for(key);
-  fill_nts(first_at_or_after(t), t, rf_per_dc.data(), rf_per_dc.size(), out);
-  return out;
-}
-
-void TokenRing::replicas_nts(Key key, const DcCounts& rf_per_dc,
-                             ReplicaList& out) const {
-  out.clear();
-  const std::uint64_t t = token_for(key);
-  fill_nts(first_at_or_after(t), t, rf_per_dc.begin(), rf_per_dc.size(), out);
+  walk_simple(arc, rf, out);
 }
 
 void TokenRing::arc_replicas_nts(std::size_t arc, const DcCounts& rf_per_dc,
                                  ReplicaList& out) const {
   HARMONY_CHECK(arc < ring_.size());
+  walk_nts(arc, rf_per_dc, out);
+}
+
+void TokenRing::walk_simple(std::size_t start, int rf,
+                            ReplicaList& out) const {
+  HARMONY_CHECK(rf >= 1);
+  HARMONY_CHECK_MSG(rf <= kMaxReplicas, "rf exceeds kMaxReplicas");
+  HARMONY_CHECK_MSG(static_cast<std::size_t>(rf) <= topo_->node_count(),
+                    "rf exceeds node count");
   out.clear();
-  // The arc's own vnode token lies in the arc (it is the lower_bound of
-  // itself whenever the arc is reachable), so it ranks like any key there.
-  fill_nts(arc, ring_[arc].token, rf_per_dc.begin(), rf_per_dc.size(), out);
+  std::size_t i = start;
+  for (std::size_t walked = 0;
+       walked < ring_.size() && out.size() < static_cast<std::size_t>(rf);
+       ++walked, i = (i + 1) % ring_.size()) {
+    const net::NodeId n = ring_[i].node;
+    if (std::find(out.begin(), out.end(), n) == out.end()) out.push_back(n);
+  }
+  HARMONY_CHECK(out.size() == static_cast<std::size_t>(rf));
+}
+
+void TokenRing::walk_nts(std::size_t start, const DcCounts& rf_per_dc,
+                         ReplicaList& out) const {
+  HARMONY_CHECK(rf_per_dc.size() == topo_->dc_count());
+  DcCounts owed = rf_per_dc;
+  int wanted = 0;
+  for (std::size_t d = 0; d < owed.size(); ++d) {
+    HARMONY_CHECK_MSG(
+        static_cast<std::size_t>(owed[d]) <=
+            topo_->nodes_in_dc(static_cast<net::DcId>(d)).size(),
+        "per-DC rf exceeds DC size");
+    wanted += owed[d];
+  }
+  out.clear();
+  std::size_t i = start;
+  for (std::size_t walked = 0;
+       walked < ring_.size() && out.size() < static_cast<std::size_t>(wanted);
+       ++walked, i = (i + 1) % ring_.size()) {
+    const net::NodeId n = ring_[i].node;
+    int& owes = owed[topo_->dc_of(n)];
+    if (owes > 0 && std::find(out.begin(), out.end(), n) == out.end()) {
+      out.push_back(n);
+      --owes;
+    }
+  }
+  HARMONY_CHECK_MSG(out.size() == static_cast<std::size_t>(wanted),
+                    "could not satisfy NTS placement");
 }
 
 std::vector<double> TokenRing::ownership() const {

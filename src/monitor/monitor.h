@@ -3,10 +3,11 @@
 // Harmony's implementation on Cassandra has two halves: a monitoring module
 // collecting "read rates and write rates, as well as network latencies", and
 // an adaptive module doing estimation. This is the first half. It watches the
-// cluster (as a ClusterObserver) and the clients (via the runner), maintains
-// windowed arrival rates and propagation-delay averages, and produces
-// SystemState snapshots — the only interface tuners see, so Harmony/Bismar
-// never touch simulator internals they could not observe in a real deployment.
+// cluster (as a ClusterObserver) and the clients (which call its record_*
+// hooks directly), maintains windowed arrival rates and propagation-delay
+// averages, and produces SystemState snapshots — the only interface tuners
+// see, so Harmony/Bismar never touch simulator internals they could not
+// observe in a real deployment.
 #pragma once
 
 #include <cstdint>
@@ -89,13 +90,13 @@ class Monitor : public cluster::ClusterObserver {
   /// Register with the cluster and learn the replication layout.
   void attach(cluster::Cluster& c, net::DcId client_home_dc);
 
-  // ---- client-side hooks (ClusterObserver virtuals: the workload layer
-  // reaches them through Cluster::record_*) -----------------------------------
-  void record_read_issued(SimTime now, std::uint64_t key = 0) override;
-  void record_write_issued(SimTime now, std::uint64_t key = 0,
-                           std::uint32_t value_size = 0) override;
-  void record_read_complete(SimTime now, SimDuration latency) override;
-  void record_write_complete(SimTime now, SimDuration latency) override;
+  // ---- client-side hooks: clients and open-loop sources call these
+  // directly, once per logical op (virtual so a harness can observe them) ----
+  virtual void record_read_issued(SimTime now, std::uint64_t key = 0);
+  virtual void record_write_issued(SimTime now, std::uint64_t key = 0,
+                                   std::uint32_t value_size = 0);
+  virtual void record_read_complete(SimTime now, SimDuration latency);
+  virtual void record_write_complete(SimTime now, SimDuration latency);
 
   // ---- ClusterObserver ----------------------------------------------------
   void on_write_propagated(cluster::Key key, SimTime write_start,

@@ -83,7 +83,7 @@ void Client::issue_next() {
       break;
     case OpType::kUpdate:
     case OpType::kInsert:
-      env_->cluster().record_write_issued(op.key, op.value_size);
+      env_->monitor().record_write_issued(last_issue_, op.key, op.value_size);
       do_write(op, start, 0);
       break;
     case OpType::kReadModifyWrite:
@@ -111,7 +111,7 @@ void Client::do_read(const Op& op, bool then_write, SimTime first_start,
   // re-issue, so the policy layer's rates count client intent. The issue
   // hook reports first_start: a paced op registers at its intended arrival.
   if (shed_attempts == 0) {
-    env_->cluster().record_read_issued(first_start, op.key);
+    env_->monitor().record_read_issued(first_start, op.key);
   }
   const cluster::ReplicaRequirement req = env_->policy().read_requirement();
   env_->cluster().client_read(
@@ -131,12 +131,13 @@ void Client::do_read(const Op& op, bool then_write, SimTime first_start,
               });
           return;
         }
-        const SimDuration latency = env_->simulation().now() - first_start;
-        env_->cluster().record_read_complete(latency);
+        const SimTime now = env_->simulation().now();
+        const SimDuration latency = now - first_start;
+        env_->monitor().record_read_complete(now, latency);
         env_->on_read_complete(r, latency, req.count);
         if (then_write) {
-          env_->cluster().record_write_issued(op.key, op.value_size);
-          do_write(op, env_->simulation().now(), 0);
+          env_->monitor().record_write_issued(now, op.key, op.value_size);
+          do_write(op, now, 0);
         } else {
           schedule_next();
         }
@@ -160,8 +161,9 @@ void Client::do_write(const Op& op, SimTime first_start, int shed_attempts) {
               });
           return;
         }
-        const SimDuration latency = env_->simulation().now() - first_start;
-        env_->cluster().record_write_complete(latency);
+        const SimTime now = env_->simulation().now();
+        const SimDuration latency = now - first_start;
+        env_->monitor().record_write_complete(now, latency);
         env_->on_write_complete(w, latency);
         schedule_next();
       },

@@ -33,9 +33,8 @@ class ClientEnv {
   virtual bool next_op(Op& op) = 0;
   virtual const policy::ConsistencyPolicy& policy() const = 0;
   virtual cluster::Cluster& cluster() = 0;
-  /// The experiment's monitor, attached as the cluster's observer. Clients
-  /// and sources never call it: their measurement hooks go through
-  /// Cluster::record_*.
+  /// The experiment's monitor. Clients and open-loop sources report each
+  /// logical op's issue and completion to its record_* hooks.
   virtual monitor::Monitor& monitor() = 0;
   virtual sim::Simulation& simulation() = 0;
   /// Completion hooks (latency measured client-side).

@@ -176,7 +176,7 @@ void OpenLoopSource::issue(const Op& op, SimTime intended) {
       break;
     case OpType::kUpdate:
     case OpType::kInsert:
-      env_->cluster().record_write_issued(op.key, op.value_size);
+      env_->monitor().record_write_issued(now, op.key, op.value_size);
       do_write(op, intended);
       break;
     case OpType::kReadModifyWrite:
@@ -186,7 +186,7 @@ void OpenLoopSource::issue(const Op& op, SimTime intended) {
 }
 
 void OpenLoopSource::do_read(const Op& op, SimTime intended, bool then_write) {
-  env_->cluster().record_read_issued(env_->simulation().now(), op.key);
+  env_->monitor().record_read_issued(env_->simulation().now(), op.key);
   const cluster::ReplicaRequirement req = env_->policy().read_requirement();
   env_->cluster().client_read(
       dc_, op.key, req,
@@ -197,12 +197,12 @@ void OpenLoopSource::do_read(const Op& op, SimTime intended, bool then_write) {
         // retry; re-offered load would re-hide the overload.
         const SimTime now = env_->simulation().now();
         const SimDuration latency = now - intended;
-        env_->cluster().record_read_complete(latency);
+        env_->monitor().record_read_complete(now, latency);
         env_->on_read_complete(r, latency, req.count);
         if (then_write) {
           // RMW: the write half keeps the op's in-flight slot and its
           // intended time, so RMW latency stays end-to-end.
-          env_->cluster().record_write_issued(op.key, op.value_size);
+          env_->monitor().record_write_issued(now, op.key, op.value_size);
           do_write(op, intended);
         } else {
           finish_op(r.ok, r.shed, intended);
@@ -217,7 +217,7 @@ void OpenLoopSource::do_write(const Op& op, SimTime intended) {
       [this, intended](const cluster::WriteResult& w) {
         const SimTime now = env_->simulation().now();
         const SimDuration latency = now - intended;
-        env_->cluster().record_write_complete(latency);
+        env_->monitor().record_write_complete(now, latency);
         env_->on_write_complete(w, latency);
         finish_op(w.ok, w.shed, intended);
       });

@@ -48,12 +48,12 @@ class ReferenceStore {
     return it->second;
   }
 
-  /// Eager preload: record k (owned[k]) is Version{0, seq0 + k * stride} of
-  /// `size` bytes, applied in key order.
+  /// Eager preload: record k (owned[k]) is Version{0, seq0 + k} of `size`
+  /// bytes, applied in key order.
   void preload(const std::vector<bool>& owned, std::uint64_t seq0,
-               std::uint64_t stride, std::uint32_t size) {
+               std::uint32_t size) {
     for (std::uint64_t k = 0; k < owned.size(); ++k) {
-      if (owned[k]) apply(k, {cluster::Version{0, seq0 + k * stride}, size});
+      if (owned[k]) apply(k, {cluster::Version{0, seq0 + k}, size});
     }
   }
 

@@ -248,9 +248,9 @@ TEST(CoordinatedOmission, NonSaturatingPaceStaysNearServiceTime) {
 // ---- allocation discipline --------------------------------------------------
 
 /// Minimal ClientEnv: plain counters, a real monitor attached as the
-/// cluster's observer (so the engine's measurement hooks reach it through
-/// Cluster::record_*), a static policy — exactly what the engine touches per
-/// operation, nothing that would allocate on the runner's behalf.
+/// cluster's observer (the source's record_* hooks call it too), a static
+/// policy — exactly what the engine touches per operation, nothing that
+/// would allocate on the runner's behalf.
 class OpenLoopAllocEnv final : public ClientEnv {
  public:
   OpenLoopAllocEnv()

@@ -407,17 +407,21 @@ void run_placement_schedule(std::uint64_t seed) {
   sim::Simulation sim(rng.next());
   const cluster::Cluster c(sim, cfg);
   const cluster::TokenRing& ring = c.ring();
-  const std::vector<int> split = cfg.rf_per_dc();
+  cluster::DcCounts split;
+  for (const int rf : cfg.rf_per_dc()) split.push_back(rf);
   auto walk = [&](cluster::Key key) {
-    return cfg.use_nts ? ring.replicas_nts(key, split)
-                       : ring.replicas_simple(key, cfg.rf);
+    cluster::ReplicaList out;
+    if (cfg.use_nts) {
+      ring.replicas_nts(key, split, out);
+    } else {
+      ring.replicas_simple(key, cfg.rf, out);
+    }
+    return out;
   };
   auto walk_at = [&](std::uint64_t t) { return walk(key_for_token(t)); };
   std::uint64_t checked = 0;
   auto check = [&](cluster::Key key) {
-    const cluster::ReplicaList& placed = c.replicas_for(key);
-    const std::vector<net::NodeId> got(placed.begin(), placed.end());
-    ASSERT_EQ(got, walk(key))
+    ASSERT_EQ(c.replicas_for(key), walk(key))
         << "seed " << seed << ": key " << key << " (token "
         << cluster::TokenRing::token_for(key) << "), " << cfg.node_count
         << " nodes, " << cfg.dc_count << " DCs, rf " << cfg.rf << ", "
@@ -483,7 +487,6 @@ void run_store_schedule(std::uint64_t seed) {
   ReferenceStore ref;
   const std::uint64_t count = rng.uniform_u64(rng.chance(0.2) ? 4 : 400);
   const std::uint64_t seq0 = rng.uniform_u64(1000);
-  const std::uint64_t stride = 1 + rng.uniform_u64(4);
   const auto size = static_cast<std::uint32_t>(1 + rng.uniform_u64(2048));
   const double density = rng.uniform();
   std::vector<bool> owned(count);
@@ -492,9 +495,9 @@ void run_store_schedule(std::uint64_t seed) {
     owned[k] = rng.chance(density);
     (owned[k] ? owned_keys : unowned_keys).push_back(k);
   }
-  prod.begin_base(count, seq0, stride, size);
+  prod.begin_base(count, seq0, size);
   for (const cluster::Key k : owned_keys) prod.own_base(k);
-  ref.preload(owned, seq0, stride, size);
+  ref.preload(owned, seq0, size);
 
   SCOPED_TRACE("seed " + std::to_string(seed));
   auto expect_same_counters = [&] {

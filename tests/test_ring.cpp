@@ -2,18 +2,36 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/check.h"
+#include "reference/reference_ring.h"
 
 namespace harmony::cluster {
 namespace {
+
+std::vector<net::NodeId> simple(const TokenRing& ring, Key key, int rf) {
+  ReplicaList out;
+  ring.replicas_simple(key, rf, out);
+  return {out.begin(), out.end()};
+}
+
+std::vector<net::NodeId> nts(const TokenRing& ring, Key key,
+                             const std::vector<int>& rf_per_dc) {
+  DcCounts counts;
+  for (const int rf : rf_per_dc) counts.push_back(rf);
+  ReplicaList out;
+  ring.replicas_nts(key, counts, out);
+  return {out.begin(), out.end()};
+}
 
 TEST(TokenRing, ReplicasAreDistinctNodes) {
   const auto topo = net::Topology::balanced(10, 2);
   TokenRing ring(topo, 8, 42);
   for (Key k = 0; k < 500; ++k) {
-    const auto replicas = ring.replicas_simple(k, 3);
+    const auto replicas = simple(ring, k, 3);
     ASSERT_EQ(replicas.size(), 3u);
     const std::set<net::NodeId> uniq(replicas.begin(), replicas.end());
     EXPECT_EQ(uniq.size(), 3u);
@@ -24,7 +42,7 @@ TEST(TokenRing, DeterministicPlacement) {
   const auto topo = net::Topology::balanced(12, 2);
   TokenRing r1(topo, 8, 7), r2(topo, 8, 7);
   for (Key k = 0; k < 200; ++k) {
-    EXPECT_EQ(r1.replicas_simple(k, 3), r2.replicas_simple(k, 3));
+    EXPECT_EQ(simple(r1, k, 3), simple(r2, k, 3));
   }
 }
 
@@ -33,7 +51,7 @@ TEST(TokenRing, DifferentSeedsChangePlacement) {
   TokenRing r1(topo, 8, 7), r2(topo, 8, 8);
   int diff = 0;
   for (Key k = 0; k < 200; ++k) {
-    if (r1.replicas_simple(k, 3) != r2.replicas_simple(k, 3)) ++diff;
+    if (simple(r1, k, 3) != simple(r2, k, 3)) ++diff;
   }
   EXPECT_GT(diff, 150);
 }
@@ -68,7 +86,7 @@ TEST(TokenRing, KeysSpreadAcrossNodes) {
   TokenRing ring(topo, 64, 5);
   std::vector<int> primary_count(10, 0);
   for (Key k = 0; k < 5000; ++k) {
-    ++primary_count[ring.replicas_simple(k, 1)[0]];
+    ++primary_count[simple(ring, k, 1)[0]];
   }
   for (int c : primary_count) {
     EXPECT_GT(c, 100);  // every node owns a meaningful share
@@ -80,7 +98,7 @@ TEST(TokenRing, NtsPerDcCounts) {
   TokenRing ring(topo, 16, 9);
   const std::vector<int> rf_per_dc = {3, 2};
   for (Key k = 0; k < 300; ++k) {
-    const auto replicas = ring.replicas_nts(k, rf_per_dc);
+    const auto replicas = nts(ring, k, rf_per_dc);
     ASSERT_EQ(replicas.size(), 5u);
     int dc0 = 0, dc1 = 0;
     for (const auto n : replicas) {
@@ -96,7 +114,7 @@ TEST(TokenRing, NtsPerDcCounts) {
 TEST(TokenRing, NtsSingleDcZeroAllowed) {
   const auto topo = net::Topology::balanced(8, 2);
   TokenRing ring(topo, 16, 9);
-  const auto replicas = ring.replicas_nts(7, {3, 0});
+  const auto replicas = nts(ring, 7, {3, 0});
   ASSERT_EQ(replicas.size(), 3u);
   for (const auto n : replicas) EXPECT_EQ(topo.dc_of(n), 0);
 }
@@ -104,8 +122,8 @@ TEST(TokenRing, NtsSingleDcZeroAllowed) {
 TEST(TokenRing, RfBeyondNodesThrows) {
   const auto topo = net::Topology::balanced(4, 2);
   TokenRing ring(topo, 8, 1);
-  EXPECT_THROW(ring.replicas_simple(1, 5), harmony::CheckError);
-  EXPECT_THROW(ring.replicas_nts(1, {3, 0}), harmony::CheckError);
+  EXPECT_THROW(simple(ring, 1, 5), harmony::CheckError);
+  EXPECT_THROW(nts(ring, 1, {3, 0}), harmony::CheckError);
 }
 
 TEST(TokenRing, TokenForIsStable) {
@@ -113,60 +131,37 @@ TEST(TokenRing, TokenForIsStable) {
   EXPECT_NE(TokenRing::token_for(42), TokenRing::token_for(43));
 }
 
-// The per-DC cursor merge inside replicas_nts must reproduce the classic
-// "walk the global ring clockwise, admit nodes while their DC still owes
-// replicas" placement, including the interleaved output order. The reference
-// is derived from replicas_simple with rf = node_count, which yields every
-// node in clockwise first-appearance order.
-std::vector<net::NodeId> nts_reference(const TokenRing& ring,
-                                       const net::Topology& topo, Key key,
-                                       std::vector<int> wanted) {
-  std::vector<net::NodeId> out;
-  for (const net::NodeId n :
-       ring.replicas_simple(key, static_cast<int>(topo.node_count()))) {
-    if (wanted[topo.dc_of(n)] > 0) {
-      out.push_back(n);
-      --wanted[topo.dc_of(n)];
-    }
-  }
-  return out;
-}
-
+// Both walks against tests/reference/reference_ring.h, which rebuilds the
+// tokens itself and walks the whole ring with no replica cap: NTS must be the
+// classic "walk the global ring clockwise, admit nodes while their DC still
+// owes replicas" placement, including the interleaved output order, and
+// SimpleStrategy the first rf nodes of that walk.
 TEST(TokenRing, NtsMatchesGlobalWalkReference) {
   for (const std::size_t nodes : {10u, 13u}) {
     const auto topo = net::Topology::balanced(nodes, 2);
     TokenRing ring(topo, 16, 77);
+    const testing::ReferenceRing ref(topo, 16, 77);
     for (const auto& rf_per_dc :
          {std::vector<int>{3, 2}, {2, 2}, {3, 0}, {0, 1}, {1, 1}}) {
       for (Key k = 0; k < 400; ++k) {
-        EXPECT_EQ(ring.replicas_nts(k, rf_per_dc),
-                  nts_reference(ring, topo, k, rf_per_dc))
+        EXPECT_EQ(nts(ring, k, rf_per_dc), ref.nts(k, rf_per_dc))
             << "nodes=" << nodes << " key=" << k;
       }
     }
   }
 }
 
-TEST(TokenRing, InlineOverloadsMatchVectorOverloads) {
-  const auto topo = net::Topology::balanced(12, 2);
-  TokenRing ring(topo, 32, 5);
-  const DcCounts rf_per_dc{2, 1};
-  const std::vector<int> rf_per_dc_vec{2, 1};
-  for (Key k = 0; k < 300; ++k) {
-    ReplicaList simple;
-    ring.replicas_simple(k, 3, simple);
-    const auto simple_vec = ring.replicas_simple(k, 3);
-    ASSERT_EQ(simple.size(), simple_vec.size());
-    for (std::size_t i = 0; i < simple.size(); ++i) {
-      EXPECT_EQ(simple[i], simple_vec[i]);
-    }
-
-    ReplicaList nts;
-    ring.replicas_nts(k, rf_per_dc, nts);
-    const auto nts_vec = ring.replicas_nts(k, rf_per_dc_vec);
-    ASSERT_EQ(nts.size(), nts_vec.size());
-    for (std::size_t i = 0; i < nts.size(); ++i) {
-      EXPECT_EQ(nts[i], nts_vec[i]);
+TEST(TokenRing, SimpleMatchesGlobalWalkReference) {
+  for (const std::size_t nodes : {1u, 5u, 13u}) {
+    const auto topo = net::Topology::balanced(nodes, 1);
+    TokenRing ring(topo, 8, 31);
+    const testing::ReferenceRing ref(topo, 8, 31);
+    const int max_rf = std::min<int>(static_cast<int>(nodes), kMaxReplicas);
+    for (int rf = 1; rf <= max_rf; ++rf) {
+      for (Key k = 0; k < 400; ++k) {
+        EXPECT_EQ(simple(ring, k, rf), ref.simple(k, rf))
+            << "nodes=" << nodes << " rf=" << rf << " key=" << k;
+      }
     }
   }
 }

@@ -141,10 +141,10 @@ TEST(Runner, RequiresPolicy) {
   EXPECT_THROW(run_experiment(cfg), CheckError);
 }
 
-/// The client-side read hooks the cluster forwards to its observer.
-class ReadHookLog final : public cluster::ClusterObserver {
+/// A monitor that logs the client-side read hooks it is called with.
+class ReadHookLog final : public monitor::Monitor {
  public:
-  void record_read_issued(SimTime now, cluster::Key) override {
+  void record_read_issued(SimTime now, std::uint64_t) override {
     issued.push_back(now);
   }
   void record_read_complete(SimTime now, SimDuration latency) override {
@@ -158,9 +158,7 @@ class ReadHookLog final : public cluster::ClusterObserver {
 class PacedClientProbe final : public ClientEnv {
  public:
   PacedClientProbe()
-      : cluster_(sim_, cluster_config()),
-        monitor_(monitor::MonitorConfig{}) {
-    cluster_.set_observer(&log);
+      : cluster_(sim_, cluster_config()) {
     policy::PolicyInit init;
     init.rf = 3;
     init.local_rf = cluster_.config().local_rf(0);
@@ -182,7 +180,7 @@ class PacedClientProbe final : public ClientEnv {
   }
   const policy::ConsistencyPolicy& policy() const override { return *policy_; }
   cluster::Cluster& cluster() override { return cluster_; }
-  monitor::Monitor& monitor() override { return monitor_; }
+  monitor::Monitor& monitor() override { return log; }
   sim::Simulation& simulation() override { return sim_; }
   void on_read_complete(const cluster::ReadResult&, SimDuration,
                         int) override {}
@@ -205,14 +203,13 @@ class PacedClientProbe final : public ClientEnv {
 
   sim::Simulation sim_{17};
   cluster::Cluster cluster_;
-  monitor::Monitor monitor_;
   std::unique_ptr<policy::ConsistencyPolicy> policy_;
   std::uint64_t ops_ = 0;
 };
 
 TEST(Client, PacedReadIssueReportsIntendedArrival) {
-  // The monitor's read-issue hook carries the time latency is measured from
-  // — the op's intended arrival — over the one route (Cluster::record_*).
+  // The monitor's read-issue hook carries the time latency is measured from:
+  // the op's intended arrival.
   PacedClientProbe probe;
   probe.run(/*rate_per_s=*/20'000);
   const ReadHookLog& log = probe.log;
